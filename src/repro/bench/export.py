@@ -49,8 +49,6 @@ def export_artifact(name: str, output_dir: str | Path,
     output_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     rows = ARTIFACTS[name].run(config)
-    from ..parallel import pool_fallbacks
-
     record = {
         "artifact": name,
         "config": {
@@ -61,11 +59,6 @@ def export_artifact(name: str, output_dir: str | Path,
             "engine": config.engine,
         },
         "generation_seconds": time.perf_counter() - t0,
-        # Serial-fallback counters recorded by repro.parallel.pool during
-        # this artifact's generation (empty when nothing fell back):
-        # bench results silently produced without parallelism would be
-        # misleading, so the record says so.
-        "pool_fallbacks": pool_fallbacks(),
         "rows": _coerce(rows),
     }
     path = output_dir / f"{name}.json"

@@ -231,8 +231,6 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
                     removed.add(u)
         cand = np.asarray(survivors, dtype=np.int64)
         if len(cand) < cstar:
-            if rnd == 0 and rounds == 1:
-                pass  # a lone val round is both the f2 and f3 stage
             if tracer.enabled:
                 technique = "advance_filter" if final_round \
                     else "early_exit_filter"
@@ -242,8 +240,6 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
             funnel.after_filter2 += 1
     if rounds >= 1:
         funnel.after_filter3 += 1
-        if rounds == 1:
-            pass  # after_filter2 was already counted by the rnd==0 branch
 
     # Density from m̂ (directed count over survivors).
     k = len(cand)

@@ -15,18 +15,20 @@ more work (§V-F, Fig. 7) — while remaining exactly reproducible run-to-run.
 With ``threads=1`` the simulation degenerates to plain sequential execution
 with a live incumbent.
 
-A :mod:`multiprocessing` pool (:mod:`repro.parallel.pool`) is provided for
-embarrassingly parallel *outer* loops (solving many graphs at once in the
-bench harness), where processes sidestep the GIL at the cost of no shared
-incumbent — exactly the trade-off the paper's related work discusses.
+The execution engines (:mod:`repro.parallel.engine`) run every parfor
+through that one simulated loop; the ``process`` engine ships task bodies
+to real worker processes and replays their measured costs through it.
+:func:`~repro.parallel.engine.start_process_pool` is the one place a
+multiprocessing start method is chosen, for the engine's pool and the
+query service's.
 """
 
 from .scheduler import SimulatedScheduler, TaskResult, ScheduleReport
 from .incumbent import Incumbent, IncumbentView
 from .locks import StripedLocks
-from .pool import POOL_METRICS, map_parallel, pool_fallbacks
-from .engine import (ENGINE_NAMES, EngineBody, ProcessEngine,
-                     SequentialEngine, SimulatedEngine, create_engine)
+from .engine import (ENGINE_NAMES, EngineBody, ExecutionEngine, ProcessEngine,
+                     SequentialEngine, SimulatedEngine, create_engine,
+                     start_process_pool)
 
 __all__ = [
     "SimulatedScheduler",
@@ -35,13 +37,12 @@ __all__ = [
     "Incumbent",
     "IncumbentView",
     "StripedLocks",
-    "map_parallel",
-    "pool_fallbacks",
-    "POOL_METRICS",
     "ENGINE_NAMES",
     "EngineBody",
+    "ExecutionEngine",
     "SimulatedEngine",
     "SequentialEngine",
     "ProcessEngine",
     "create_engine",
+    "start_process_pool",
 ]

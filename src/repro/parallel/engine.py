@@ -3,19 +3,20 @@
 The solvers (LazyMC's Alg. 1 phases, the PMC baseline) express their
 parallelism as *parfors over an incumbent*: every task runs against an
 :class:`~repro.parallel.incumbent.IncumbentView` and accumulates work into
-a task-local :class:`~repro.instrument.Counters`.  This module factors the
-execution of that shape behind one interface with three backends:
+a task-local :class:`~repro.instrument.Counters`.  Every backend runs that
+shape through the one loop of
+:class:`~repro.parallel.scheduler.SimulatedScheduler` — the same worker
+assignment, cost accounting and schedule report.  They differ only in
+*when a task's improvement is published* and in where the task body runs:
 
 ``sim``
-    :class:`SimulatedEngine` — the deterministic virtual-time simulation
-    of :mod:`repro.parallel.scheduler`, unchanged.  The default, and the
-    bit-identical continuation of every committed golden counter.
+    :class:`SimulatedEngine` — the deterministic virtual-time simulation,
+    publishing at task finish.  The default, and the bit-identical
+    continuation of every committed golden counter.
 ``seq``
-    :class:`SequentialEngine` — plain sequential execution with a live
-    incumbent and no event simulation.  Provably equivalent to
-    ``SimulatedEngine(threads=1)``: with one simulated worker every
-    publication lands at a virtual time no later than the next task's
-    start, so the visible incumbent *is* the live incumbent.
+    :class:`SequentialEngine` — the simulation at ``threads=1``: with one
+    worker every publication lands no later than the next task's start,
+    so the visible incumbent *is* the live incumbent.
 ``process``
     :class:`ProcessEngine` — real ``multiprocessing``.  Per-parfor task
     batches are shipped to a worker pool; the incumbent *size* is shared
@@ -23,10 +24,11 @@ execution of that shape behind one interface with three backends:
     improvements (the work-deflation half of the paper's Fig. 7 story)
     while tasks already in flight run against a stale bound (the
     work-inflation half, now on real processes).  Per-task counters come
-    back with the results and merge in the parent, so the work account
-    stays exact.  Any failure to stand up a pool — unavailable start
-    method, daemonic caller, unpicklable context — degrades to inline
-    sequential execution with the reason recorded in ``fallbacks``.
+    back with the results and go through the shared loop in the parent,
+    so the work account stays exact; improvements are published at the
+    parfor's start time.  Any failure to stand up a pool — unavailable
+    start method, daemonic caller, unpicklable context — degrades to
+    inline execution with the reason recorded in ``fallbacks``.
 
 Bodies come in two shapes.  A plain callable ``(task, view, counters) ->
 value`` runs in the calling process on every engine (closures cannot
@@ -41,17 +43,41 @@ aggregating picklable side outputs (e.g. filter funnels).
 from __future__ import annotations
 
 import functools
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..instrument import Counters
 from .incumbent import Incumbent, IncumbentView
-from .scheduler import ScheduleReport, SimulatedScheduler, TaskResult
+from .scheduler import SimulatedScheduler, TaskResult
 
 #: Engine identifiers accepted by :func:`create_engine` and ``--engine``.
 ENGINE_NAMES = ("sim", "seq", "process")
+
+#: Multiprocessing start methods, in preference order: ``fork`` shares the
+#: parent's pages for free (Linux); ``spawn`` is the portable fallback.
+START_METHODS = ("fork", "spawn")
+
+
+def start_process_pool(build: Callable, misses: list[str] | None = None):
+    """Build a process pool under the first start method that works.
+
+    ``build(ctx)`` receives a :mod:`multiprocessing` context and returns
+    the pool.  Any start method may be unavailable (platform, daemonic
+    caller); each miss is appended to ``misses`` as
+    ``start_method:<method>: <exception>``.  Returns ``(pool, method)``,
+    or ``None`` when every method failed.
+    """
+    import multiprocessing as mp
+
+    for method in START_METHODS:
+        try:
+            return build(mp.get_context(method)), method
+        except Exception as exc:
+            if misses is not None:
+                misses.append(
+                    f"start_method:{method}: {type(exc).__name__}: {exc}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -76,16 +102,13 @@ class EngineBody:
         return self.inline(task, view, counters)
 
 
-class SimulatedEngine(SimulatedScheduler):
-    """The virtual-time simulation behind the engine interface.
+class ExecutionEngine(SimulatedScheduler):
+    """What every backend adds to the scheduler: identity and a summary.
 
-    Pure delegation: :class:`~repro.parallel.scheduler.SimulatedScheduler`
-    already accepts :class:`EngineBody` bodies (they are callable), so the
-    simulated schedule, counters and report are bit-identical to driving
-    the scheduler directly.
+    The parfor loop itself is the scheduler's.  Backends without worker
+    processes ignore the worker context and have no pool to close.
     """
 
-    name = "sim"
     #: Whether parfor bodies may run outside this process (and therefore
     #: outside the reach of in-band budget checks).
     external_workers = False
@@ -93,6 +116,8 @@ class SimulatedEngine(SimulatedScheduler):
     def __init__(self, threads: int = 1, counters: Counters | None = None):
         super().__init__(threads, counters)
         self.fallbacks: list[str] = []
+        self.wall_seconds = 0.0
+        self.start_method: str | None = None
 
     def set_worker_context(self, builder, payload) -> None:
         """No worker processes: nothing to ship."""
@@ -102,78 +127,43 @@ class SimulatedEngine(SimulatedScheduler):
 
     def info(self) -> dict:
         """Uniform engine summary (the ``engine`` section of records)."""
-        return _engine_info(self)
+        return {
+            "backend": self.name,
+            "workers": self.threads,
+            "makespan": self.report.makespan,
+            "total_work": self.report.total_work,
+            "tasks": len(self.report.tasks),
+            "publications": self.publications,
+            "wall_seconds": self.wall_seconds,
+            "start_method": self.start_method,
+            "fallbacks": list(self.fallbacks),
+        }
 
 
-class SequentialEngine:
-    """Zero-simulation sequential execution with a live incumbent.
+class SimulatedEngine(ExecutionEngine):
+    """The virtual-time simulation behind the engine interface.
 
-    Equivalent to ``SimulatedEngine(threads=1)`` — same cliques, bit
-    identical counters — without the event-queue bookkeeping.  Virtual
-    time still advances by task cost so the report and the incumbent
-    history keep their work-unit semantics.
+    :class:`~repro.parallel.scheduler.SimulatedScheduler` already accepts
+    :class:`EngineBody` bodies (they are callable), so the simulated
+    schedule, counters and report are bit-identical to driving the
+    scheduler directly.
+    """
+
+    name = "sim"
+
+
+class SequentialEngine(ExecutionEngine):
+    """Sequential execution with a live incumbent: the simulation at
+    ``threads=1``.
+
+    ``threads`` is accepted for interface symmetry; sequential execution
+    is single-worker by definition.
     """
 
     name = "seq"
-    external_workers = False
 
     def __init__(self, threads: int = 1, counters: Counters | None = None):
-        # ``threads`` is accepted for interface symmetry; sequential
-        # execution is single-worker by definition.
-        self.threads = 1
-        self.counters = counters if counters is not None else Counters()
-        self.report = ScheduleReport()
-        self.now = 0.0
-        self.publications = 0
-        self.fallbacks: list[str] = []
-
-    def set_worker_context(self, builder, payload) -> None:
-        """No worker processes: nothing to ship."""
-
-    def close(self) -> None:
-        """No pool to tear down."""
-
-    def parfor(self, tasks: Sequence, body, incumbent: Incumbent) -> list[TaskResult]:
-        """Run ``body`` over ``tasks`` in order against the live incumbent.
-
-        One worker means no visibility lag: every publication lands before
-        the next task starts, so counters are bit-identical to the
-        simulator at ``threads=1`` (pinned in ``tests/parallel``).
-        """
-        run_task = body.inline if isinstance(body, EngineBody) else body
-        results: list[TaskResult] = []
-        t = self.now
-        for task in tasks:
-            # Live incumbent: sequentially, everything already published
-            # is visible — exactly ``visible_at(now)`` under one worker.
-            view = IncumbentView(incumbent.size, incumbent.clique)
-            local = Counters()
-            value = run_task(task, view, local)
-            cost = max(local.work, 1)
-            start, t = t, t + cost
-            pending = view.pending
-            if pending is not None and incumbent.publish_at(pending, t):
-                self.publications += 1
-            self.counters.merge(local)
-            results.append(TaskResult(task=task, start=start, finish=t,
-                                      cost=cost, worker=0, value=value))
-        self.report.makespan += t - self.now
-        self.report.total_work += sum(r.cost for r in results)
-        self.report.tasks.extend(results)
-        self.now = t
-        return results
-
-    def run_serial_section(self, cost: int, makespan_cost: int | None = None) -> None:
-        """Account a non-parfor section (same contract as the scheduler)."""
-        cost = max(cost, 0)
-        m = cost if makespan_cost is None else max(makespan_cost, 0)
-        self.now += m
-        self.report.makespan += m
-        self.report.total_work += cost
-
-    def info(self) -> dict:
-        """Uniform engine summary (the ``engine`` section of records)."""
-        return _engine_info(self)
+        super().__init__(1, counters)
 
 
 # -- process-engine worker side (module level: picklable by reference) --------
@@ -213,37 +203,33 @@ def _process_worker_run(worker_fn, task):
     return value, local.as_dict(), pending, extra
 
 
-class ProcessEngine:
+class ProcessEngine(ExecutionEngine):
     """Real ``multiprocessing`` execution of shippable parfor bodies.
 
     Requires an :class:`EngineBody` with a ``worker`` function and a
     worker context installed via :meth:`set_worker_context`; anything else
     (closure bodies, pool-creation failure, mid-parfor pool death) runs
-    inline with live-incumbent semantics, with the reason appended to
-    ``fallbacks`` — degradation is never silent.
+    inline, with the reason appended to ``fallbacks`` — degradation is
+    never silent.
 
-    Counters and the schedule report stay in deterministic work units
-    (per-task counters merge in the parent; the virtual makespan replays
-    the measured costs through the same smallest-finish-time assignment
-    the simulator uses).  Measured wall-clock time of the parallel
-    sections accumulates separately in ``wall_seconds``.
+    Either way the tasks go through the scheduler's loop over
+    ``processes`` workers, so counters and the schedule report stay in
+    deterministic work units, directly comparable to the simulator's.
+    Improvements are published at the parfor's start: a task run inline
+    sees every improvement of the tasks before it, as a live incumbent.
+    Measured wall-clock time of the pool maps accumulates separately in
+    ``wall_seconds``.
     """
 
     name = "process"
     external_workers = True
+    publish_at_finish = False
 
     def __init__(self, processes: int = 2, counters: Counters | None = None):
         if processes < 1:
             raise ValueError("processes must be >= 1")
+        super().__init__(processes, counters)
         self.processes = processes
-        self.threads = processes  # serial-section accounting parity
-        self.counters = counters if counters is not None else Counters()
-        self.report = ScheduleReport()
-        self.now = 0.0
-        self.publications = 0
-        self.fallbacks: list[str] = []
-        self.wall_seconds = 0.0
-        self.start_method: str | None = None
         self._builder = None
         self._payload = None
         self._pool = None
@@ -276,28 +262,19 @@ class ProcessEngine:
             return True
         if self._pool_broken:
             return False
-        import multiprocessing as mp
 
-        # fork shares the context pages for free; spawn re-pickles it.
-        # Either may be unavailable (platform, daemonic caller) — try in
-        # preference order and record every miss.
-        for method in ("fork", "spawn"):
-            try:
-                ctx = mp.get_context(method)
-                shared = ctx.Value("q", 0)
-                pool = ctx.Pool(self.processes,
-                                initializer=_process_worker_init,
-                                initargs=(self._builder, self._payload, shared))
-            except Exception as exc:
-                self.fallbacks.append(
-                    f"start_method:{method}: {type(exc).__name__}: {exc}")
-                continue
-            self._shared = shared
-            self._pool = pool
-            self.start_method = method
-            return True
-        self._pool_broken = True
-        return False
+        def build(ctx):
+            shared = ctx.Value("q", 0)
+            return shared, ctx.Pool(
+                self.processes, initializer=_process_worker_init,
+                initargs=(self._builder, self._payload, shared))
+
+        started = start_process_pool(build, self.fallbacks)
+        if started is None:
+            self._pool_broken = True
+            return False
+        (self._shared, self._pool), self.start_method = started
+        return True
 
     def parfor(self, tasks: Sequence, body, incumbent: Incumbent) -> list[TaskResult]:
         """Run ``body.worker`` over ``tasks`` on the process pool.
@@ -310,18 +287,34 @@ class ProcessEngine:
         tasks = list(tasks)
         if not tasks:
             return []
+        raw = self._map(tasks, body, incumbent)
+        if raw is None:
+            return super().parfor(tasks, body, incumbent)
+        merge = body.merge
+        replies = iter(raw)
+
+        def replay(task, view):
+            value, counter_dict, pending, extra = next(replies)
+            if merge is not None and extra is not None:
+                merge(extra)
+            return value, Counters(**counter_dict), pending
+
+        return self._schedule(tasks, replay, incumbent)
+
+    def _map(self, tasks: list, body, incumbent: Incumbent) -> list | None:
+        """Per-task ``(value, counters, pending, extra)`` from the pool, or
+        ``None`` when the parfor must run inline."""
         worker_fn = body.worker if isinstance(body, EngineBody) else None
-        if worker_fn is None or self._builder is None:
-            # Closure bodies stay local by design (cheap phases); a
-            # shippable body without a context is a caller bug worth
+        if worker_fn is None:
+            return None  # closure bodies stay local by design (cheap phases)
+        if self._builder is None:
+            # A shippable body without a context is a caller bug worth
             # surfacing, but never worth crashing a solve over.
-            if worker_fn is not None:
-                self._note_fallback("no worker context installed")
-            return self._parfor_inline(tasks, body, incumbent)
+            self._note_fallback("no worker context installed")
+            return None
         if not self._ensure_pool():
             self._note_fallback("no usable start method")
-            return self._parfor_inline(tasks, body, incumbent)
-
+            return None
         with self._shared.get_lock():
             self._shared.value = incumbent.size
         chunksize = max(1, len(tasks) // (self.processes * 4))
@@ -334,96 +327,13 @@ class ProcessEngine:
             self._note_fallback(f"map: {type(exc).__name__}: {exc}")
             self.close()
             self._pool_broken = True
-            return self._parfor_inline(tasks, body, incumbent)
+            return None
         self.wall_seconds += time.perf_counter() - t0
-
-        merge = body.merge
-        costs: list[int] = []
-        values: list[object] = []
-        for value, counter_dict, pending, extra in raw:
-            local = Counters(**counter_dict)
-            costs.append(max(local.work, 1))
-            values.append(value)
-            self.counters.merge(local)
-            if pending is not None and \
-                    incumbent.offer(pending, time=self.now):
-                self.publications += 1
-            if merge is not None and extra is not None:
-                merge(extra)
-        return self._account(tasks, costs, values)
-
-    def _parfor_inline(self, tasks, body, incumbent) -> list[TaskResult]:
-        """Local sequential execution (closure bodies and fallbacks)."""
-        run_task = body.inline if isinstance(body, EngineBody) else body
-        costs: list[int] = []
-        values: list[object] = []
-        for task in tasks:
-            view = IncumbentView(incumbent.size, incumbent.clique)
-            local = Counters()
-            values.append(run_task(task, view, local))
-            costs.append(max(local.work, 1))
-            pending = view.pending
-            if pending is not None and \
-                    incumbent.publish_at(pending, self.now):
-                self.publications += 1
-            self.counters.merge(local)
-        return self._account(tasks, costs, values)
-
-    def _account(self, tasks, costs, values) -> list[TaskResult]:
-        """Replay measured costs through the smallest-finish-time schedule.
-
-        Keeps the report in work units across engines: the virtual
-        makespan is what a greedy ``processes``-worker schedule of these
-        exact costs would take, directly comparable to the simulator's.
-        """
-        workers = [(self.now, w) for w in range(self.processes)]
-        heapq.heapify(workers)
-        results: list[TaskResult] = []
-        end = self.now
-        for task, cost, value in zip(tasks, costs, values):
-            t_start, w = heapq.heappop(workers)
-            t_finish = t_start + cost
-            heapq.heappush(workers, (t_finish, w))
-            results.append(TaskResult(task=task, start=t_start,
-                                      finish=t_finish, cost=cost,
-                                      worker=w, value=value))
-            end = max(end, t_finish)
-        self.report.makespan += end - self.now
-        self.report.total_work += sum(costs)
-        self.report.tasks.extend(results)
-        self.now = end
-        return results
+        return raw
 
     def _note_fallback(self, reason: str) -> None:
         if reason not in self.fallbacks:
             self.fallbacks.append(reason)
-
-    def run_serial_section(self, cost: int, makespan_cost: int | None = None) -> None:
-        """Account a non-parfor section (same contract as the scheduler)."""
-        cost = max(cost, 0)
-        m = cost if makespan_cost is None else max(makespan_cost, 0)
-        self.now += m
-        self.report.makespan += m
-        self.report.total_work += cost
-
-    def info(self) -> dict:
-        """Uniform engine summary (the ``engine`` section of records)."""
-        return _engine_info(self)
-
-
-def _engine_info(engine) -> dict:
-    """The uniform ``engine`` summary shared by all three backends."""
-    return {
-        "backend": engine.name,
-        "workers": engine.threads,
-        "makespan": engine.report.makespan,
-        "total_work": engine.report.total_work,
-        "tasks": len(engine.report.tasks),
-        "publications": getattr(engine, "publications", 0),
-        "wall_seconds": getattr(engine, "wall_seconds", 0.0),
-        "start_method": getattr(engine, "start_method", None),
-        "fallbacks": list(engine.fallbacks),
-    }
 
 
 def create_engine(engine: str = "sim", threads: int = 1, processes: int = 0,

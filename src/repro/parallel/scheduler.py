@@ -72,6 +72,13 @@ class SimulatedScheduler:
     other, as in the paper's Alg. 1).
     """
 
+    #: When a task's incumbent improvement becomes visible: at the task's
+    #: virtual finish time (the simulator's visibility lag), or — when
+    #: ``False`` — at the start of its parfor, so every task scheduled
+    #: after it sees it (the live incumbent of tasks that run outside the
+    #: virtual clock, e.g. on real processes).
+    publish_at_finish = True
+
     def __init__(self, threads: int = 1, counters: Counters | None = None):
         if threads < 1:
             raise ValueError("threads must be >= 1")
@@ -91,8 +98,22 @@ class SimulatedScheduler:
 
         ``run_task`` must do all incumbent reads through the view and all
         incumbent writes through ``view.offer``; the scheduler publishes
-        pending improvements at task completion time.  Returns per-task
-        results in task order.
+        pending improvements as :attr:`publish_at_finish` says.  Returns
+        per-task results in task order.
+        """
+        def execute(task, view):
+            local = Counters()
+            return run_task(task, view, local), local, view.pending
+
+        return self._schedule(tasks, execute, incumbent)
+
+    def _schedule(self, tasks: Sequence, execute, incumbent: Incumbent) -> list[TaskResult]:
+        """The parfor loop: assign, run, cost, publish, account.
+
+        ``execute(task, view)`` returns ``(value, counters, pending)`` for
+        one task; the task's cost is its counters' work.  Each task starts
+        on the worker with the smallest virtual time and sees the
+        incumbent as published by then.
         """
         workers = [(self.now, w) for w in range(self.threads)]
         heapq.heapify(workers)
@@ -101,13 +122,11 @@ class SimulatedScheduler:
         for task in tasks:
             t_start, w = heapq.heappop(workers)
             size, clique = incumbent.visible_at(t_start)
-            view = IncumbentView(size, clique)
-            local = Counters()
-            value = run_task(task, view, local)
+            value, local, pending = execute(task, IncumbentView(size, clique))
             cost = max(local.work, 1)  # every task costs at least one unit
             t_finish = t_start + cost
-            pending = view.pending
-            if pending is not None and incumbent.publish_at(pending, t_finish):
+            t_publish = t_finish if self.publish_at_finish else self.now
+            if pending is not None and incumbent.publish_at(pending, t_publish):
                 self.publications += 1
             self.counters.merge(local)
             results.append(TaskResult(task=task, start=t_start, finish=t_finish,

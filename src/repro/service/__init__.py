@@ -38,7 +38,6 @@ Quickstart::
 
 from .cache import ResultCache
 from .jobs import JobHandle, JobResult, JobSpec, JobState
-from .pool import WorkerPool
 from .protocol import ServiceClient, decode_line, encode_message
 from .server import CliqueServer, handle_request
 from .service import CliqueService, ServiceConfig
@@ -56,7 +55,6 @@ __all__ = [
     "JobState",
     "JobEnv",
     "ResultCache",
-    "WorkerPool",
     "SupervisedPool",
     "handle_request",
     "encode_message",

@@ -35,7 +35,6 @@ from ..graph.fingerprint import fingerprint
 from ..instrument import LATENCY_BUCKETS, WORK_BUCKETS, MetricsRegistry
 from .cache import ResultCache
 from .jobs import JobHandle, JobResult, JobSpec
-from .pool import WorkerPool
 from .supervisor import SupervisedPool
 from .worker import JobEnv, run_job
 
@@ -50,16 +49,19 @@ class ServiceConfig:
     own; ``None`` means unbounded — production deployments should set
     ``default_max_work`` so no request can burn unbounded effort.
 
-    ``supervise`` swaps the bare pool for a
-    :class:`~repro.service.supervisor.SupervisedPool`: crashed workers are
-    replaced, jobs past ``job_deadline`` are killed and retried (up to
-    ``max_retries`` times, with exponential backoff from ``retry_backoff``),
-    ``circuit_threshold`` consecutive permanent failures per algorithm
-    open a ``circuit_cooldown``-second circuit, and ``lazymc`` jobs
-    checkpoint every ``checkpoint_interval_work`` work units so a retry
-    resumes instead of restarting.  ``fault_plan`` injects seeded faults
-    (:mod:`repro.faults`) into every job — for chaos tests and repro, not
-    production.
+    Jobs always run on a :class:`~repro.service.supervisor.SupervisedPool`.
+    Unsupervised (the default), it only isolates crashes: a job that
+    fails — including by a worker death — fails once as
+    :class:`~repro.errors.WorkerCrashError`, and a dead worker's executor
+    is rebuilt for later jobs.  ``supervise`` turns on the recovery
+    ladder: jobs past ``job_deadline`` are killed and retried (up to
+    ``max_retries`` times, with exponential backoff from
+    ``retry_backoff``), ``circuit_threshold`` consecutive permanent
+    failures per algorithm open a ``circuit_cooldown``-second circuit,
+    and ``lazymc`` jobs checkpoint every ``checkpoint_interval_work`` work
+    units so a retry resumes instead of restarting.  ``fault_plan``
+    injects seeded faults (:mod:`repro.faults`) into every supervised job
+    — for chaos tests and repro, not production.
 
     ``trace_dir`` enables per-job tracing: a job submitted with a
     ``trace_id`` writes its event stream to
@@ -120,18 +122,19 @@ class CliqueService:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = MetricsRegistry()
         self._checkpoint_dir: str | None = None
-        if self.config.supervise:
-            self.pool: WorkerPool | SupervisedPool = SupervisedPool(
-                self.config.workers,
-                metrics=self.metrics,
-                max_retries=self.config.max_retries,
-                job_deadline=self.config.job_deadline,
-                backoff_base=self.config.retry_backoff,
-                circuit_threshold=self.config.circuit_threshold,
-                circuit_cooldown=self.config.circuit_cooldown)
+        cfg = self.config
+        if cfg.supervise:
+            self.pool = SupervisedPool(
+                cfg.workers, metrics=self.metrics,
+                max_retries=cfg.max_retries, job_deadline=cfg.job_deadline,
+                backoff_base=cfg.retry_backoff,
+                circuit_threshold=cfg.circuit_threshold,
+                circuit_cooldown=cfg.circuit_cooldown)
             self._checkpoint_dir = tempfile.mkdtemp(prefix="lazymc-ckpt-")
         else:
-            self.pool = WorkerPool(self.config.workers)
+            self.pool = SupervisedPool(
+                cfg.workers, metrics=self.metrics, max_retries=0,
+                crash_retries=0, circuit_threshold=None)
         self.results = ResultCache(self.config.cache_capacity)
         self.graphs = ResultCache(self.config.graph_cache_capacity)
         self._job_counter = 0
@@ -176,20 +179,11 @@ class CliqueService:
                 f"{self.config.max_queue_depth}")), fp)
 
         try:
-            if isinstance(self.pool, SupervisedPool):
-                inner = self.pool.submit(
-                    run_job, graph, spec.algo, spec.threads, spec.max_work,
-                    spec.max_seconds, spec.kernel, spec.engine,
-                    spec.processes, label=spec.algo,
-                    env_factory=self._env_factory(trace_path))
-            else:
-                env = JobEnv(trace_path=trace_path,
-                             trace_sample=self.config.trace_sample) \
-                    if trace_path is not None else None
-                inner = self.pool.submit(run_job, graph, spec.algo,
-                                         spec.threads, spec.max_work,
-                                         spec.max_seconds, spec.kernel,
-                                         spec.engine, spec.processes, env)
+            inner = self.pool.submit(
+                run_job, graph, spec.algo, spec.threads, spec.max_work,
+                spec.max_seconds, spec.kernel, spec.engine,
+                spec.processes, label=spec.algo,
+                env_factory=self._env_factory(trace_path))
         except RuntimeError as exc:  # pool already shut down
             self.metrics.inc("jobs_failed")
             return self._completed(spec, JobResult.failure(exc), fp)
@@ -239,7 +233,7 @@ class CliqueService:
             token = self._job_counter
         path = os.path.join(self._checkpoint_dir, f"job-{token}.ckpt") \
             if self._checkpoint_dir else None
-        plan = self.config.fault_plan
+        plan = self.config.fault_plan if self.config.supervise else None
         interval = self.config.checkpoint_interval_work
         sample = self.config.trace_sample
 

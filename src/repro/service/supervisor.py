@@ -1,10 +1,10 @@
 """Supervised worker pool: crash recovery, deadlines, retry, circuit breaking.
 
-The bare :class:`~repro.service.pool.WorkerPool` has no answer to a dead
-or wedged worker: a killed child poisons the ``ProcessPoolExecutor`` for
-every later job (``BrokenProcessPool``), and a hung solve holds its slot
-forever.  :class:`SupervisedPool` keeps the same surface (``submit`` ->
-``Future``, ``pending``, ``shutdown``) and adds the recovery ladder the
+The service's one worker pool.  A bare ``ProcessPoolExecutor`` has no
+answer to a dead or wedged worker: a killed child poisons it for every
+later job (``BrokenProcessPool``), and a hung solve holds its slot
+forever.  :class:`SupervisedPool` wraps it behind ``submit`` ->
+``Future``, ``pending`` and ``shutdown`` and adds the recovery ladder the
 distributed-MC literature prescribes for irregular search trees:
 
 * **crash detection** — a ``BrokenProcessPool`` retires the poisoned
@@ -25,6 +25,12 @@ distributed-MC literature prescribes for irregular search trees:
   algorithm) open the circuit for ``circuit_cooldown`` seconds, during
   which submissions fail fast with
   :class:`~repro.errors.CircuitOpenError` (counted as ``circuit_opens``).
+
+With ``max_retries=0``, ``crash_retries=0`` and no circuit threshold the
+ladder reduces to crash isolation alone: a failed job fails with
+:class:`~repro.errors.WorkerCrashError` on its first attempt, and a dead
+worker's executor is still replaced for the jobs that come after it —
+the service's unsupervised mode.
 
 Retries compose with checkpoint/resume: the service's ``env_factory``
 gives every attempt the same checkpoint path, so attempt N+1 resumes from
@@ -57,7 +63,7 @@ from typing import Callable
 
 from ..errors import CircuitOpenError, WorkerCrashError
 from ..instrument import MetricsRegistry
-from .pool import START_METHODS
+from ..parallel.engine import start_process_pool
 
 
 class _Job:
@@ -88,13 +94,14 @@ class _Job:
 class SupervisedPool:
     """Crash-surviving, deadline-enforcing, retrying worker pool.
 
-    Drop-in for :class:`~repro.service.pool.WorkerPool` where it matters
-    (``submit``/``pending``/``shutdown``/``mode``/``workers``), plus the
-    supervision knobs.  ``workers=0`` runs supervised-inline: jobs execute
-    synchronously on the submitting thread with the same retry and
-    circuit-breaker semantics (no deadline kill — nothing can interrupt
-    the calling thread — and no backoff sleeps, keeping embedded/test use
-    deterministic and fast).
+    ``workers=0`` runs supervised-inline: jobs execute synchronously on
+    the submitting thread with the same retry and circuit-breaker
+    semantics (no deadline kill — nothing can interrupt the calling
+    thread — and no backoff sleeps, keeping embedded/test use
+    deterministic and fast).  With ``workers >= 1`` the executor is built
+    lazily under the first usable multiprocessing start method; when none
+    works the pool serves inline and ``mode`` says so.
+    ``circuit_threshold=None`` turns the circuit breaker off.
 
     ``submit(fn, *args, label=..., env_factory=...)``: ``label`` scopes
     the circuit breaker; ``env_factory(attempt)``, when given, produces
@@ -109,14 +116,14 @@ class SupervisedPool:
                  job_deadline: float | None = None,
                  backoff_base: float = 0.05,
                  backoff_cap: float = 2.0,
-                 circuit_threshold: int = 5,
+                 circuit_threshold: int | None = 5,
                  circuit_cooldown: float = 30.0,
                  watchdog_interval: float = 0.05):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if job_deadline is not None and job_deadline <= 0:
             raise ValueError("job_deadline must be positive")
-        if circuit_threshold < 1:
+        if circuit_threshold is not None and circuit_threshold < 1:
             raise ValueError("circuit_threshold must be >= 1")
         self.workers = max(0, int(workers))
         self.mode = "inline" if self.workers == 0 else "process"
@@ -133,7 +140,7 @@ class SupervisedPool:
         self.job_deadline = job_deadline
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
-        self.circuit_threshold = int(circuit_threshold)
+        self.circuit_threshold = circuit_threshold
         self.circuit_cooldown = float(circuit_cooldown)
         self.watchdog_interval = float(watchdog_interval)
 
@@ -218,16 +225,13 @@ class SupervisedPool:
             if self._closed:
                 return None
             if self._executor is None:
-                import multiprocessing as mp
-
-                for method in START_METHODS:
-                    try:
-                        self._executor = ProcessPoolExecutor(
-                            max_workers=self.workers,
-                            mp_context=mp.get_context(method))
-                        break
-                    except Exception:
-                        continue
+                started = start_process_pool(
+                    lambda ctx: ProcessPoolExecutor(max_workers=self.workers,
+                                                    mp_context=ctx))
+                if started is None:
+                    self.mode = "inline"
+                    return None
+                self._executor = started[0]
             return self._executor
 
     def _ensure_watchdog(self) -> None:
@@ -258,7 +262,7 @@ class SupervisedPool:
             self._launch(job)
 
     def _launch(self, job: _Job) -> None:
-        if self._closed:
+        if self._closed or job.outer.cancelled():
             self._finalize(job, cancelled=True)
             return
         executor = self._ensure_executor()
@@ -387,7 +391,7 @@ class SupervisedPool:
             self._jobs.pop(job.job_id, None)
             if error is None and not cancelled:
                 self._failures[job.label] = 0
-            elif error is not None:
+            elif error is not None and self.circuit_threshold is not None:
                 count = self._failures.get(job.label, 0) + 1
                 self._failures[job.label] = count
                 if count >= self.circuit_threshold:

@@ -142,16 +142,20 @@ class TestProcessEngineExact:
         assert result.engine["backend"] == "process"
 
 
+def _break_start_methods(monkeypatch):
+    import multiprocessing as mp
+
+    def broken(method=None):
+        raise ValueError(f"start method {method!r} unavailable (test)")
+
+    monkeypatch.setattr(mp, "get_context", broken)
+
+
 class TestProcessEngineFallback:
     """No usable start method -> inline execution, reason recorded."""
 
     def test_start_method_failure_falls_back(self, monkeypatch):
-        import multiprocessing as mp
-
-        def broken(method=None):
-            raise ValueError(f"start method {method!r} unavailable (test)")
-
-        monkeypatch.setattr(mp, "get_context", broken)
+        _break_start_methods(monkeypatch)
         # WormNet (not dblp): the solve must actually reach the pool —
         # dblp's systematic seeds all die in the filters before a parfor
         # with a shippable body ever needs workers.
@@ -161,6 +165,19 @@ class TestProcessEngineFallback:
         assert result.verify(graph)
         assert any("start_method" in f for f in result.engine["fallbacks"])
         assert result.engine["start_method"] is None
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_inline_fallback_equals_seq(self, monkeypatch, name):
+        """Inline, the process engine publishes at parfor start and every
+        task sees the live incumbent: the same search as ``seq``."""
+        _break_start_methods(monkeypatch)
+        graph = load(name)
+        seq = lazymc(graph, LazyMCConfig(engine="seq"))
+        inline = lazymc(graph, LazyMCConfig(engine="process", processes=2))
+        assert inline.omega == seq.omega
+        assert inline.clique == seq.clique
+        assert inline.counters.as_dict() == seq.counters.as_dict()
+        assert inline.schedule.total_work == seq.schedule.total_work
 
     def test_no_worker_context_is_recorded_not_fatal(self):
         eng = ProcessEngine(processes=2)

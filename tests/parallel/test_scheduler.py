@@ -199,24 +199,6 @@ class TestLocks:
         assert state["built"] == 1
 
 
-class TestPool:
-    def test_map_parallel_matches_serial(self):
-        from repro.parallel import map_parallel
-
-        items = list(range(20))
-        assert map_parallel(_square, items, processes=2) == [x * x for x in items]
-        assert map_parallel(_square, items, processes=1) == [x * x for x in items]
-
-    def test_small_input_stays_serial(self):
-        from repro.parallel import map_parallel
-
-        assert map_parallel(_square, [2, 3], processes=4) == [4, 9]
-
-
-def _square(x):
-    return x * x
-
-
 class TestSchedulerInvariants:
     def test_makespan_work_bounds(self):
         """makespan <= total_work <= threads * makespan for any parfor."""

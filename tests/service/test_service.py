@@ -6,7 +6,7 @@ from concurrent.futures import CancelledError, Future
 import pytest
 
 from repro.datasets import load, load_target
-from repro.errors import GraphLoadError
+from repro.errors import GraphLoadError, WorkerCrashError
 from repro.service import (
     CliqueService,
     JobHandle,
@@ -14,7 +14,7 @@ from repro.service import (
     JobSpec,
     JobState,
     ServiceConfig,
-    WorkerPool,
+    SupervisedPool,
 )
 
 
@@ -164,11 +164,18 @@ class TestAdmission:
             assert svc.metrics.counter("jobs_rejected") == 1
 
 
+def _touch(path):
+    """Job body that leaves evidence it ran (module level: picklable)."""
+    with open(path, "w") as fh:
+        fh.write("ran")
+
+
 class TestWorkerPoolAndConcurrency:
     def test_inline_pool_captures_exceptions(self):
-        pool = WorkerPool(workers=0)
+        pool = SupervisedPool(0, max_retries=0)
         future = pool.submit(int, "not-a-number")
-        assert isinstance(future.exception(), ValueError)
+        assert isinstance(future.exception(), WorkerCrashError)
+        assert "ValueError" in str(future.exception())
 
     def test_concurrent_submits_through_process_pool(self):
         svc = CliqueService(ServiceConfig(workers=2))
@@ -184,16 +191,24 @@ class TestWorkerPoolAndConcurrency:
         finally:
             svc.shutdown()
 
-    def test_queued_job_cancellation(self):
-        pool = WorkerPool(workers=1)
-        if pool.mode != "process":
-            pytest.skip("multiprocessing unavailable")
+    def test_queued_job_cancellation(self, tmp_path):
+        marker = tmp_path / "ran"
+        pool = SupervisedPool(1, max_retries=0)
         try:
             blocker = pool.submit(time.sleep, 1.0)
-            queued = pool.submit(time.sleep, 0.0)
+            if pool.mode != "process":
+                pytest.skip("multiprocessing unavailable")
+            queued = pool.submit(_touch, str(marker))
             assert queued.cancel()
             assert queued.cancelled()
             blocker.result(timeout=30)
+            # The slot the blocker frees goes to the cancelled job; it must
+            # be retired there, not run.
+            deadline = time.monotonic() + 30
+            while pool.pending and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.pending == 0
+            assert not marker.exists()
         finally:
             pool.shutdown()
 

@@ -1,4 +1,4 @@
-"""SupervisedPool and WorkerPool robustness semantics (no real processes)."""
+"""SupervisedPool robustness semantics: supervision, fallbacks, lifecycle."""
 
 import time
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CircuitOpenError, WorkerCrashError
 from repro.instrument import MetricsRegistry
-from repro.service import SupervisedPool, WorkerPool
+from repro.service import SupervisedPool
 
 
 def _flaky(fail_times: list) -> object:
@@ -173,10 +173,31 @@ class TestSupervisedProcessMode:
         finally:
             pool.shutdown()
 
+    def test_crash_without_retries_fails_only_that_job(self):
+        """No retries: a worker death fails its job as WorkerCrashError,
+        and the next job runs on a rebuilt executor."""
+        import os
+
+        metrics = MetricsRegistry()
+        pool = SupervisedPool(1, metrics=metrics, max_retries=0,
+                              crash_retries=0, circuit_threshold=None)
+        try:
+            crashed = pool.submit(os._exit, 1)
+            with pytest.raises(WorkerCrashError):
+                crashed.result(timeout=60)
+            assert pool.submit(pow, 2, 3).result(timeout=60) == 8
+            assert metrics.counter("worker_restarts") == 1
+            assert metrics.counter("job_retries") == 0
+        finally:
+            pool.shutdown()
+
 
 class TestWorkerPoolFallbacks:
+    """The pool without retries (the service's unsupervised mode) and its
+    degradation when no start method works."""
+
     def test_inline_pending_visible_during_execution(self):
-        pool = WorkerPool(0)
+        pool = SupervisedPool(0, max_retries=0)
         observed = []
 
         def job():
@@ -193,20 +214,20 @@ class TestWorkerPoolFallbacks:
             pool.shutdown()
 
     def test_inline_captures_exceptions_into_future(self):
-        pool = WorkerPool(0)
+        pool = SupervisedPool(0, max_retries=0)
 
         def bad():
             raise ValueError("nope")
 
         try:
             fut = pool.submit(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(WorkerCrashError, match="ValueError: nope"):
                 fut.result(timeout=5)
         finally:
             pool.shutdown()
 
     def test_inline_reraises_keyboard_interrupt(self):
-        pool = WorkerPool(0)
+        pool = SupervisedPool(0, max_retries=0)
 
         def interrupt():
             raise KeyboardInterrupt
@@ -218,7 +239,7 @@ class TestWorkerPoolFallbacks:
             pool.shutdown()
 
     def test_shutdown_twice_safe_and_terminal(self):
-        pool = WorkerPool(0)
+        pool = SupervisedPool(0, max_retries=0)
         pool.shutdown()
         pool.shutdown(wait=False)
         with pytest.raises(RuntimeError):
@@ -231,10 +252,13 @@ class TestWorkerPoolFallbacks:
             raise OSError(f"no {method} on this platform")
 
         monkeypatch.setattr(mp, "get_context", broken)
-        pool = WorkerPool(2)
+        pool = SupervisedPool(2, max_retries=0)
         try:
             assert pool.submit(lambda: "served").result(timeout=5) == "served"
+            # The mode reaches the metrics snapshot and the serve banner:
+            # it must name how jobs are actually served.
             assert pool.mode == "inline"
+            assert pool.submit(lambda: "again").result(timeout=5) == "again"
         finally:
             pool.shutdown()
 
@@ -251,7 +275,7 @@ class TestWorkerPoolFallbacks:
             return real(method)
 
         monkeypatch.setattr(mp, "get_context", picky)
-        pool = WorkerPool(1)
+        pool = SupervisedPool(1, max_retries=0)
         try:
             assert pool.submit(pow, 3, 2).result(timeout=60) == 9
             assert tried == ["fork", "spawn"]
