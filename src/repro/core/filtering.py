@@ -28,7 +28,6 @@ import numpy as np
 from ..instrument import Counters, WorkBudget
 from ..intersect.bitmatrix import BitMatrix
 from ..intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
-from ..intersect.hashset import HopscotchSet
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
 from ..parallel.incumbent import IncumbentView
@@ -95,16 +94,18 @@ class FilterFunnel:
 
 def _induced_adjacency(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
                        counters: Counters) -> list[set]:
-    """Cut out G[N] as local-id set adjacency using hashed neighborhoods."""
-    index = {int(u): i for i, u in enumerate(candidates)}
-    adj: list[set] = [set() for _ in candidates]
-    for i, u in enumerate(candidates):
-        row = lazy.neighborhood_array(int(u), min_core)
+    """Cut out G[N] as local-id set adjacency, each set filled in row order.
+
+    Sub-solvers iterate these sets, and a set's iteration order follows
+    its insertion order.
+    """
+    cand_list = candidates.tolist()
+    index = {u: i for i, u in enumerate(cand_list)}
+    adj: list[set] = []
+    for u in cand_list:
+        row = lazy.neighborhood_array(u, min_core)
         counters.elements_scanned += len(row)
-        for w in row:
-            j = index.get(int(w))
-            if j is not None and j != i:
-                adj[i].add(j)
+        adj.append({index[w] for w in row.tolist() if w in index})
     return adj
 
 
@@ -133,6 +134,59 @@ def _induced_bitmatrix(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
             hits = sorted_cand[pos] == row
             mat.set_row(i, sorter[pos[hits]])
     return mat
+
+
+def _degree_filters(lazy: LazyGraph, cand: np.ndarray, cstar: int,
+                    config: LazyMCConfig,
+                    counters: Counters) -> tuple[list[int], int, int]:
+    """Filters 2 and 3 (Alg. 8 lines 4-13): ``(survivors, m̂, rounds passed)``.
+
+    The boolean kernel runs for rounds 1..r-1, the exact-size kernel
+    (which also yields m̂ for free) for the final round — the paper's
+    default r=2 is exactly filter 2 + filter 3.
+    """
+    rounds = config.filter_rounds
+    cand_list = cand.tolist()
+    if rounds >= 1:
+        cand_set = set(cand_list)
+        counters.hash_inserts += len(cand_list)
+    m_hat = 0
+    for rnd in range(rounds):
+        final_round = (rnd == rounds - 1)
+        survivors: list[int] = []
+        m_hat = 0
+        for i, u in enumerate(cand_list):
+            row = lazy.neighborhood_array(u, cstar)
+            # Degree test d_N(u) > cstar - 2 is symmetric in its two sets;
+            # scan the smaller side and probe the other's hash rep (§IV-A:
+            # intersections go through the hash set).  Scanning N instead
+            # of N_G(u) also tightens the early-exit tolerance.
+            if len(row) <= len(cand_set):
+                a_side, b_side = row, cand_set
+            else:
+                # N as it stands, in candidate order: removals earlier in
+                # the round are visible to later candidates, as in Alg. 8.
+                a_side = survivors + cand_list[i:]
+                b_side = lazy.membership_set(u, cstar)
+            if final_round:
+                d = intersect_size_gt_val(a_side, b_side, cstar - 2,
+                                          counters, config.early_exit)
+                # Both orientations count u itself never (u not in N_G(u));
+                # when scanning N, u is in A but misses B, same answer.
+                if d > cstar - 2:
+                    survivors.append(u)
+                    m_hat += d
+                else:
+                    cand_set.discard(u)
+            elif intersect_size_gt_bool(a_side, b_side, cstar - 2,
+                                        counters, config.early_exit):
+                survivors.append(u)
+            else:
+                cand_set.discard(u)
+        cand_list = survivors
+        if len(survivors) < cstar:
+            return survivors, m_hat, rnd
+    return cand_list, m_hat, rounds
 
 
 def neighbor_search(lazy: LazyGraph, v: int, view: IncumbentView,
@@ -179,67 +233,20 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         return
     funnel.after_filter1 += 1
 
-    # Degree filters.  The boolean kernel runs for rounds 1..r-1, the
-    # exact-size kernel (which also yields m̂ for free) for the final
-    # round — the paper's default r=2 is exactly filter 2 + filter 3.
-    m_hat = 0
     rounds = config.filter_rounds
-    cand_set: HopscotchSet | None = None
-    for rnd in range(rounds):
-        if cand_set is None:
-            cand_set = HopscotchSet.from_iterable(int(x) for x in cand)
-            counters.hash_inserts += len(cand)
-        final_round = (rnd == rounds - 1)
-        survivors = []
-        m_hat = 0
-        # `alive` mirrors the evolving N so the smaller-side orientation
-        # can snapshot it cheaply; removals inside the round are visible
-        # to later candidates exactly as in Alg. 8.
-        alive = list(int(x) for x in cand)
-        removed: set[int] = set()
-        for u in cand:
-            u = int(u)
-            row = lazy.neighborhood_array(u, cstar)
-            # Degree test d_N(u) > cstar - 2 is symmetric in its two sets;
-            # scan the smaller side and probe the other's hash rep (§IV-A:
-            # intersections go through the hash set).  Scanning N instead
-            # of N_G(u) also tightens the early-exit tolerance.
-            if len(row) <= len(cand_set):
-                a_side, b_side = row, cand_set
-            else:
-                a_side = np.fromiter((w for w in alive if w not in removed),
-                                     dtype=np.int64,
-                                     count=len(alive) - len(removed))
-                b_side = lazy.membership_set(u, cstar)
-            if final_round:
-                d = intersect_size_gt_val(a_side, b_side, cstar - 2,
-                                          counters, config.early_exit)
-                # Both orientations count u itself never (u not in N_G(u));
-                # when scanning N, u is in A but misses B, same answer.
-                if d > cstar - 2:
-                    survivors.append(u)
-                    m_hat += d
-                else:
-                    cand_set.discard(u)
-                    removed.add(u)
-            else:
-                if intersect_size_gt_bool(a_side, b_side, cstar - 2,
-                                          counters, config.early_exit):
-                    survivors.append(u)
-                else:
-                    cand_set.discard(u)
-                    removed.add(u)
-        cand = np.asarray(survivors, dtype=np.int64)
-        if len(cand) < cstar:
-            if tracer.enabled:
-                technique = "advance_filter" if final_round \
-                    else "early_exit_filter"
-                tracer.prune(technique, v=v, survivors=len(cand), cstar=cstar)
-            return
-        if rnd == 0:
-            funnel.after_filter2 += 1
+    survivors, m_hat, passed = _degree_filters(lazy, cand, cstar, config,
+                                               counters)
+    if passed >= 1:
+        funnel.after_filter2 += 1
+    if passed < rounds:
+        if tracer.enabled:
+            technique = "advance_filter" if passed == rounds - 1 \
+                else "early_exit_filter"
+            tracer.prune(technique, v=v, survivors=len(survivors), cstar=cstar)
+        return
     if rounds >= 1:
         funnel.after_filter3 += 1
+    cand = np.asarray(survivors, dtype=np.int64)
 
     # Density from m̂ (directed count over survivors).
     k = len(cand)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..instrument import Counters
-from ..intersect.early_exit import SortedArraySet, intersect_gt, intersect_size_gt_val
+from ..intersect.early_exit import intersect_gt, intersect_size_gt_val
 from ..parallel.incumbent import Incumbent, IncumbentView
 from .config import LazyMCConfig
 from .lazygraph import LazyGraph
@@ -61,12 +61,11 @@ def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
         clique = [int(v)]
         buf = np.empty(len(cand), dtype=np.int64)
         while len(cand):
-            cand_set = set(int(x) for x in cand)
+            cand_set = set(cand.tolist())
             counters.hash_inserts += len(cand)
             best_u = -1
             best_d = -1  # running maximum = θ for every probe
-            for w in cand:
-                w = int(w)
+            for w in cand.tolist():
                 row = graph.neighbors(w)
                 # Induced degree |cand ∩ N(w)| is symmetric: scan the
                 # smaller side so the running-max threshold exits sooner.
@@ -74,7 +73,7 @@ def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
                     d = intersect_size_gt_val(row, cand_set, best_d,
                                               counters, config.early_exit)
                 else:
-                    d = intersect_size_gt_val(cand, SortedArraySet(row),
+                    d = intersect_size_gt_val(cand, set(row.tolist()),
                                               best_d, counters,
                                               config.early_exit)
                 if d > best_d:
@@ -84,7 +83,7 @@ def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
                 best_u = int(cand[0])
             clique.append(best_u)
             # cand <- cand ∩ N(best_u); θ = -1 always materializes.
-            size = intersect_gt(cand, SortedArraySet(graph.neighbors(best_u)),
+            size = intersect_gt(cand, set(graph.neighbors(best_u).tolist()),
                                 buf, -1, counters, config.early_exit)
             cand = buf[:size].copy() if size > 0 else np.empty(0, dtype=np.int64)
         view.offer(clique)

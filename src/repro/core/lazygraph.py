@@ -13,7 +13,7 @@ Four ideas in one data structure:
   Representations built at different times may therefore differ in size;
   this is harmless because the dropped vertices are permanently dead to
   the search (§IV-A).
-* **Hashed** — high-degree neighborhoods get a hopscotch hash set for O(1)
+* **Hashed** — high-degree neighborhoods get a builtin ``set`` for O(1)
   membership in the intersection kernels; low-degree ones get a sorted
   array.  Both may coexist; intersections prefer the hash form.
 
@@ -29,7 +29,6 @@ from ..graph.csr import CSRGraph
 from ..graph.ordering import VertexOrder
 from ..instrument import Counters
 from ..intersect.early_exit import SortedArraySet
-from ..intersect.hashset import HopscotchSet
 from ..parallel.locks import StripedLocks
 from .config import LazyMCConfig, PrepopulatePolicy
 
@@ -55,7 +54,7 @@ class LazyGraph:
         self.counters = counters if counters is not None else Counters()
         n = graph.n
         self._flags = np.zeros(n, dtype=np.uint8)
-        self._hash_reps: list[HopscotchSet | None] = [None] * n
+        self._hash_reps: list[set[int] | None] = [None] * n
         self._sorted_reps: list[np.ndarray | None] = [None] * n
         self._locks = StripedLocks(64)
         # Degrees in relabelled space (original degrees permuted).
@@ -92,7 +91,7 @@ class LazyGraph:
         self.counters.neighbors_filtered_at_build += int(len(nbrs) - keep.sum())
         return nbrs[keep]
 
-    def hashed_neighborhood(self, v: int, min_core: int = 0) -> HopscotchSet:
+    def hashed_neighborhood(self, v: int, min_core: int = 0) -> set[int]:
         """Hash-set representation, built on first request (Alg. 2).
 
         ``min_core`` is the incumbent size at the requesting context; it is
@@ -103,9 +102,7 @@ class LazyGraph:
         with self._locks.lock_for(v):
             if not (self._flags[v] & _FLAG_HASH):  # double-checked
                 members = self._filtered_relabelled_neighbors(v, min_core)
-                rep = HopscotchSet(expected=len(members))
-                for u in members:
-                    rep.add(int(u))
+                rep = set(members.tolist())
                 self.counters.hash_inserts += len(members)
                 self.counters.neighborhoods_built_hash += 1
                 self._hash_reps[v] = rep
@@ -156,7 +153,8 @@ class LazyGraph:
         if self._flags[v] & _FLAG_HASH:
             with self._locks.lock_for(v):
                 if not (self._flags[v] & _FLAG_SORTED):
-                    self._sorted_reps[v] = self._hash_reps[v].to_array()
+                    self._sorted_reps[v] = np.array(
+                        sorted(self._hash_reps[v]), dtype=np.int64)
                     self._flags[v] |= _FLAG_SORTED
             return self._sorted_reps[v]
         return self.sorted_neighborhood(v, min_core)

@@ -1,9 +1,13 @@
 """Tests for the heuristic searches (Alg. 5/6) and NeighborSearch (Alg. 8)."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import LazyMCConfig, LazyGraph
+from repro.core import LazyMCConfig, LazyGraph, filtering
 from repro.core.filtering import FilterFunnel, neighbor_search
 from repro.core.heuristics import (
     coreness_based_heuristic_search, degree_based_heuristic_search,
@@ -11,6 +15,8 @@ from repro.core.heuristics import (
 from repro.graph import coreness, coreness_degree_order, from_edges, complete_graph
 from repro.graph import generators as gen
 from repro.instrument import Counters
+from repro.intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
+from repro.intersect.hashset import HopscotchSet
 from repro.parallel import Incumbent, IncumbentView, SimulatedScheduler
 from tests.conftest import brute_force_max_clique, random_graph
 
@@ -171,3 +177,133 @@ class TestNeighborSearch:
         a.merge(b)
         assert a.considered == 5
         assert a.density_work == {1: 7, 4: 7}
+
+
+def reference_degree_filters(lazy, cand, cstar, config, counters):
+    """The degree-filter loop as it stood on ``HopscotchSet``.
+
+    A frozen copy of the earlier implementation: the candidate set is a
+    hopscotch table and the scanned side of N is rebuilt from ``alive``
+    minus ``removed`` for every candidate.  The production loop must
+    reproduce it exactly — survivors, m̂, rounds passed and counters.
+    """
+    rounds = config.filter_rounds
+    m_hat = 0
+    cand_set = None
+    for rnd in range(rounds):
+        if cand_set is None:
+            cand_set = HopscotchSet.from_iterable(int(x) for x in cand)
+            counters.hash_inserts += len(cand)
+        final_round = rnd == rounds - 1
+        survivors = []
+        m_hat = 0
+        alive = list(int(x) for x in cand)
+        removed = set()
+        for u in cand:
+            u = int(u)
+            row = lazy.neighborhood_array(u, cstar)
+            if len(row) <= len(cand_set):
+                a_side, b_side = row, cand_set
+            else:
+                a_side = np.fromiter((w for w in alive if w not in removed),
+                                     dtype=np.int64,
+                                     count=len(alive) - len(removed))
+                b_side = lazy.membership_set(u, cstar)
+            if final_round:
+                d = intersect_size_gt_val(a_side, b_side, cstar - 2,
+                                          counters, config.early_exit)
+                if d > cstar - 2:
+                    survivors.append(u)
+                    m_hat += d
+                else:
+                    cand_set.discard(u)
+                    removed.add(u)
+            elif intersect_size_gt_bool(a_side, b_side, cstar - 2,
+                                        counters, config.early_exit):
+                survivors.append(u)
+            else:
+                cand_set.discard(u)
+                removed.add(u)
+        cand = np.asarray(survivors, dtype=np.int64)
+        if len(cand) < cstar:
+            return survivors, m_hat, rnd
+    return [int(x) for x in cand], m_hat, rounds
+
+
+def reference_induced_adjacency(lazy, candidates, min_core, counters):
+    """The induced-adjacency loop as it stood, one numpy scalar at a time."""
+    index = {int(u): i for i, u in enumerate(candidates)}
+    adj = [set() for _ in candidates]
+    for i, u in enumerate(candidates):
+        row = lazy.neighborhood_array(int(u), min_core)
+        counters.elements_scanned += len(row)
+        for w in row:
+            j = index.get(int(w))
+            if j is not None and j != i:
+                adj[i].add(j)
+    return adj
+
+
+graph_params = st.tuples(st.integers(4, 36), st.floats(0.1, 0.9),
+                         st.integers(0, 10_000))
+
+
+class TestFilterLoopMatchesReference:
+    """Differential check of the filter funnel against the frozen loop."""
+
+    @staticmethod
+    def _search_all(graph, cfg, cstar, filters):
+        lazy = make_lazy(graph, cfg)
+        counters = lazy.counters
+        funnel = FilterFunnel()
+        calls = []
+
+        def recording(*args):
+            survivors, m_hat, passed = filters(*args)
+            calls.append((list(survivors), m_hat, passed))
+            return survivors, m_hat, passed
+
+        found = []
+        with mock.patch.object(filtering, "_degree_filters", recording):
+            for v in range(graph.n):
+                view = IncumbentView(cstar, list(range(cstar)))
+                neighbor_search(lazy, v, view, cfg, counters, funnel)
+                found.append(view.pending)
+        return calls, dataclasses.asdict(funnel), counters.as_dict(), found
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=graph_params, cstar=st.integers(1, 8),
+           rounds=st.integers(0, 3),
+           threshold=st.sampled_from([2, 8, 16]))
+    def test_neighbor_search_matches_reference(self, params, cstar, rounds,
+                                               threshold):
+        n, p, seed = params
+        graph = random_graph(n, p, seed)
+        cfg = LazyMCConfig(filter_rounds=rounds,
+                           hash_degree_threshold=threshold)
+        production = self._search_all(graph, cfg, cstar,
+                                      filtering._degree_filters)
+        reference = self._search_all(graph, cfg, cstar,
+                                     reference_degree_filters)
+        # Per call: survivors, m̂, rounds passed.  Then the funnel, the
+        # counters and the cliques offered.
+        assert production == reference
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=graph_params, data=st.data(),
+           min_core=st.integers(0, 4))
+    def test_induced_adjacency_matches_reference(self, params, data,
+                                                 min_core):
+        n, p, seed = params
+        graph = random_graph(n, p, seed)
+        picked = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        candidates = np.asarray(picked, dtype=np.int64)
+        outputs = []
+        for extract in (filtering._induced_adjacency,
+                        reference_induced_adjacency):
+            counters = Counters()
+            lazy = make_lazy(graph)
+            adj = extract(lazy, candidates, min_core, counters)
+            # Lists, not sets: the iteration order must match too.
+            outputs.append(([list(s) for s in adj], counters.as_dict()))
+        assert outputs[0] == outputs[1]

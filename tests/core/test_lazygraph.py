@@ -6,6 +6,7 @@ import pytest
 from repro.core import LazyGraph, LazyMCConfig, PrepopulatePolicy
 from repro.graph import coreness, coreness_degree_order, from_edges
 from repro.instrument import Counters
+from repro.intersect.early_exit import SortedArraySet
 from tests.conftest import random_graph
 
 
@@ -102,10 +103,9 @@ class TestRepresentationChoice:
         lazy, order, _ = make_lazy(g, config=cfg)
         center = order.original_to_relabelled(0)
         leaf = order.original_to_relabelled(1)
-        from repro.intersect import HopscotchSet
 
-        assert isinstance(lazy.membership_set(center), HopscotchSet)
-        assert not isinstance(lazy.membership_set(leaf), HopscotchSet)
+        assert isinstance(lazy.membership_set(center), set)
+        assert isinstance(lazy.membership_set(leaf), SortedArraySet)
 
     def test_existing_rep_preferred(self):
         g = random_graph(10, 0.5, seed=9)
@@ -114,9 +114,8 @@ class TestRepresentationChoice:
         ms = lazy.membership_set(2)  # must reuse sorted rep, not build hash
         assert lazy.built_counts() == (0, 1)
         lazy.hashed_neighborhood(2)
-        from repro.intersect import HopscotchSet
 
-        assert isinstance(lazy.membership_set(2), HopscotchSet)
+        assert isinstance(lazy.membership_set(2), set)
 
 
 class TestPrepopulate:

@@ -49,6 +49,26 @@ GOLDEN = {
             "neighbors_filtered_at_build": 209,
         },
     },
+    # Reaches filter 3 and the k-VC arm on every searched neighborhood,
+    # so it pins the filter funnel and the sub-solver, not only the
+    # heuristics and the lazy graph.
+    "mouse": {
+        "omega": 30,
+        "work": 1720481,
+        "counters": {
+            "elements_scanned": 1694078,
+            "intersections": 17107,
+            "early_exit_false": 2237,
+            "early_exit_true": 7159,
+            "hash_lookups": 764922,
+            "hash_inserts": 23909,
+            "neighborhoods_built_hash": 148,
+            "neighbors_filtered_at_build": 46,
+            "kvc_subsolves": 119,
+            "branch_nodes": 2494,
+            "kernel_reductions": 8408,
+        },
+    },
 }
 
 
