@@ -6,8 +6,7 @@ import pytest
 from repro.bench import micro
 from repro.instrument import Counters
 from repro.intersect import (
-    HopscotchSet, intersect_count_sorted, intersect_size_gt_bool,
-    intersect_size_gt_val, intersect_sorted,
+    HopscotchSet, intersect_size_gt_bool, intersect_size_gt_val,
 )
 from repro.intersect.bitset import BitsetSet
 from repro.intersect.early_exit import SortedArraySet
@@ -31,11 +30,6 @@ class TestKernelTiming:
         sa = BitsetSet.from_array(4096, a)
         sb = BitsetSet.from_array(4096, b)
         result = benchmark(lambda: sa.intersection_count(sb))
-        assert result == len(set(map(int, a)) & set(map(int, b)))
-
-    def test_sorted_vectorized_intersection(self, benchmark, pair):
-        a, b = pair
-        result = benchmark(lambda: intersect_count_sorted(a, b))
         assert result == len(set(map(int, a)) & set(map(int, b)))
 
     def test_early_exit_val_kernel(self, benchmark, pair):

@@ -39,8 +39,8 @@ def run(config: BenchConfig | None = None) -> list[dict]:
     rows = []
     for name in datasets:
         service = CliqueService(ServiceConfig(
-            workers=0, default_max_seconds=config.timeout_seconds))
-        spec = JobSpec(target=name, threads=config.threads)
+            workers=0, defaults={"max_seconds": config.timeout_seconds}))
+        spec = JobSpec(target=name, config={"threads": config.threads})
 
         t0 = time.perf_counter()
         cold = service.solve(spec)
@@ -52,8 +52,9 @@ def run(config: BenchConfig | None = None) -> list[dict]:
         warm_s = (time.perf_counter() - t0) / (BATCH - 1)
 
         t0 = time.perf_counter()
-        degraded = service.solve(JobSpec(target=name, threads=config.threads,
-                                         max_work=DEGRADED_MAX_WORK))
+        degraded = service.solve(JobSpec(
+            target=name, config={"threads": config.threads,
+                                 "max_work": DEGRADED_MAX_WORK}))
         degraded_s = time.perf_counter() - t0
 
         info = service.results.info()

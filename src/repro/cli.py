@@ -27,12 +27,61 @@ import sys
 import tempfile
 from pathlib import Path
 
+from .core.config import KERNEL_BACKENDS, LazyMCConfig
 from .datasets import load, load_target, names
 from .errors import GraphLoadError
 from .graph.csr import CSRGraph
+from .parallel.engine import ENGINE_NAMES
+from .service.jobs import ALGORITHMS
 
 #: Where ``serve``/``query`` meet when neither --socket nor --port is given.
 DEFAULT_SOCKET = str(Path(tempfile.gettempdir()) / "lazymc.sock")
+
+#: The solver knobs as flags: flag -> (LazyMCConfig field, argparse
+#: options).  Every flag defaults to ``None``, "not given": the knob then
+#: keeps its LazyMCConfig default (``solve``) or the server's (``query``).
+KNOB_FLAGS = {
+    "--threads": ("threads", {
+        "type": int, "help": "simulated worker threads (default 1)"}),
+    "--max-work": ("max_work", {
+        "type": int,
+        "help": "deterministic work budget (scanned-element units)"}),
+    "--timeout": ("max_seconds", {
+        "type": float, "help": "wall-clock budget (seconds)"}),
+    "--kernel": ("kernel_backend", {
+        "choices": KERNEL_BACKENDS,
+        "help": "MC sub-solver backend: list[set] branch and bound "
+                "(default), the bit-parallel BBMC kernel, or density-based "
+                "auto selection (lazymc only)"}),
+    "--engine": ("engine", {
+        "choices": ENGINE_NAMES,
+        "help": "execution engine: deterministic simulated scheduler "
+                "(default), zero-simulation sequential fast path, or real "
+                "multiprocessing (lazymc and pmc)"}),
+    "--processes": ("processes", {
+        "type": int, "help": "worker processes for --engine process "
+                             "(default 0 = auto-size from the CPU count)"}),
+}
+
+
+def _add_knob_flags(parser, description: str, *flags: str) -> None:
+    group = parser.add_argument_group("solver knobs", description)
+    for flag in flags:
+        dest, options = KNOB_FLAGS[flag]
+        group.add_argument(flag, dest=dest, default=None, **options)
+
+
+def _knob_overrides(args) -> dict:
+    """The knob flags given on the command line, keyed by config field."""
+    return {dest: getattr(args, dest) for dest, _ in KNOB_FLAGS.values()
+            if getattr(args, dest, None) is not None}
+
+
+def _solver_config(args) -> LazyMCConfig:
+    try:
+        return LazyMCConfig(**_knob_overrides(args))
+    except ValueError as exc:
+        raise SystemExit(f"lazymc: {exc}") from exc
 
 
 def _load_graph(target: str) -> CSRGraph:
@@ -43,13 +92,14 @@ def _load_graph(target: str) -> CSRGraph:
 
 
 def _cmd_solve(args) -> int:
+    config = _solver_config(args)
     graph = _load_graph(args.target)
     if getattr(args, "faults", None):
-        return _solve_with_faults(args, graph)
+        return _solve_with_faults(args, graph, config)
     if args.trace and args.algo != "lazymc":
         raise SystemExit("--trace supports --algo lazymc only")
     if args.algo == "lazymc":
-        from . import LazyMCConfig, lazymc
+        from . import lazymc
 
         tracer = None
         if args.trace:
@@ -57,14 +107,9 @@ def _cmd_solve(args) -> int:
 
             tracer = TraceRecorder(sample_every=args.trace_sample)
             tracer.set_meta(target=args.target, algo=args.algo,
-                            threads=args.threads, kernel=args.kernel)
-        result = lazymc(graph, LazyMCConfig(threads=args.threads,
-                                            max_work=args.max_work,
-                                            max_seconds=args.timeout,
-                                            kernel_backend=args.kernel,
-                                            engine=args.engine,
-                                            processes=args.processes),
-                        tracer=tracer)
+                            threads=config.threads,
+                            kernel=config.kernel_backend)
+        result = lazymc(graph, config, tracer=tracer)
         if tracer is not None:
             tracer.write(args.trace)
             print(f"trace: {args.trace} ({len(tracer.events)} events, "
@@ -87,10 +132,7 @@ def _cmd_solve(args) -> int:
     else:
         from .service.worker import solve_graph
 
-        record = solve_graph(graph, args.algo, threads=args.threads,
-                             max_work=args.max_work, max_seconds=args.timeout,
-                             kernel=args.kernel, engine=args.engine,
-                             processes=args.processes)
+        record = solve_graph(graph, args.algo, config)
         if args.json:
             import json
 
@@ -113,7 +155,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _solve_with_faults(args, graph: CSRGraph) -> int:
+def _solve_with_faults(args, graph: CSRGraph, config: LazyMCConfig) -> int:
     """``solve --faults SPEC``: one run under a seeded fault plan.
 
     The reproduction path for service incidents: the same spec and seed
@@ -133,9 +175,7 @@ def _solve_with_faults(args, graph: CSRGraph) -> int:
                  trace_path=args.trace or None,
                  trace_sample=args.trace_sample)
     try:
-        record = run_job(graph, args.algo, args.threads, args.max_work,
-                         args.timeout, args.kernel, args.engine,
-                         args.processes, env)
+        record = run_job(graph, args.algo, config, env)
     except InjectedFault as exc:
         record = {"ok": False, "error_type": "InjectedFault", "error": str(exc)}
     if args.json:
@@ -162,21 +202,22 @@ def _cmd_serve(args) -> int:
 
     plan = FaultPlan.parse(args.faults, seed=args.fault_seed) \
         if args.faults else None
-    service = CliqueService(ServiceConfig(
-        workers=args.workers,
-        cache_capacity=args.cache_size,
-        default_max_work=args.max_work,
-        default_max_seconds=args.timeout,
-        max_queue_depth=args.max_queue,
-        supervise=args.supervise,
-        max_retries=args.max_retries,
-        job_deadline=args.job_deadline,
-        fault_plan=plan,
-        trace_dir=args.trace_dir,
-        trace_sample=args.trace_sample,
-        default_engine=args.engine,
-        default_processes=args.processes,
-    ))
+    try:
+        config = ServiceConfig(
+            workers=args.workers,
+            cache_capacity=args.cache_size,
+            defaults=_knob_overrides(args),
+            max_queue_depth=args.max_queue,
+            supervise=args.supervise,
+            max_retries=args.max_retries,
+            job_deadline=args.job_deadline,
+            fault_plan=plan,
+            trace_dir=args.trace_dir,
+            trace_sample=args.trace_sample,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"lazymc serve: {exc}") from exc
+    service = CliqueService(config)
     if args.port is not None:
         server = CliqueServer(service, host=args.host, port=args.port,
                               fault_plan=plan)
@@ -228,13 +269,9 @@ def _cmd_query(args) -> int:
                 print(json.dumps(response))
                 return 0 if response.get("ok") else 1
             response = client.solve(args.target, algo=args.algo,
-                                    threads=args.threads, max_work=args.max_work,
-                                    max_seconds=args.timeout,
+                                    config=_knob_overrides(args),
                                     use_cache=not args.no_cache,
-                                    kernel=args.kernel,
-                                    trace_id=args.trace_id,
-                                    engine=args.engine,
-                                    processes=args.processes)
+                                    trace_id=args.trace_id)
     except ProtocolError as exc:
         # A dropped/torn response (e.g. the server's drop:proto fault, or
         # a mid-request restart): a clean, retryable error — not a
@@ -387,25 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one graph")
     p.add_argument("target", help="dataset name or graph file")
-    p.add_argument("--algo", default="lazymc",
-                   choices=["lazymc", "pmc", "domega-ls", "domega-bs", "mcbrb"])
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--max-work", type=int, default=None,
-                   help="deterministic work budget (scanned-element units)")
-    p.add_argument("--kernel", default="sets",
-                   choices=["sets", "bits", "auto"],
-                   help="MC sub-solver backend: list[set] branch and bound, "
-                        "the bit-parallel BBMC kernel, or density-based auto "
-                        "selection (lazymc only)")
-    p.add_argument("--engine", default="sim",
-                   choices=["sim", "seq", "process"],
-                   help="execution engine: deterministic simulated scheduler "
-                        "(default), zero-simulation sequential fast path, or "
-                        "real multiprocessing (lazymc and pmc)")
-    p.add_argument("--processes", type=int, default=0,
-                   help="worker processes for --engine process "
-                        "(0 = auto-size from the CPU count)")
+    p.add_argument("--algo", default="lazymc", choices=ALGORITHMS)
+    _add_knob_flags(p, "unset knobs keep their LazyMCConfig default",
+                    *KNOB_FLAGS)
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable record (any algorithm)")
     p.add_argument("--trace", default=None, metavar="PATH",
@@ -435,10 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (0 = solve inline)")
     p.add_argument("--cache-size", type=int, default=128,
                    help="result-cache capacity (entries)")
-    p.add_argument("--max-work", type=int, default=None,
-                   help="default per-job work budget")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="default per-job wall-clock budget (seconds)")
     p.add_argument("--max-queue", type=int, default=256,
                    help="admission queue depth before load shedding")
     p.add_argument("--supervise", action="store_true",
@@ -459,13 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "with a trace id (query --trace-id)")
     p.add_argument("--trace-sample", type=int, default=1, metavar="N",
                    help="trace sampling stride for captured jobs")
-    p.add_argument("--engine", default="sim",
-                   choices=["sim", "seq", "process"],
-                   help="default execution engine for jobs that leave "
-                        "theirs unset")
-    p.add_argument("--processes", type=int, default=0,
-                   help="default process count for the process engine "
-                        "(0 = auto)")
+    _add_knob_flags(p, "service-wide defaults for jobs that leave the knob "
+                       "unset", "--max-work", "--timeout", "--engine",
+                    "--processes")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("query", help="query a running lazymc service")
@@ -474,20 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--socket", default=DEFAULT_SOCKET)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=None)
-    p.add_argument("--algo", default="lazymc",
-                   choices=["lazymc", "pmc", "domega-ls", "domega-bs", "mcbrb"])
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--max-work", type=int, default=None)
-    p.add_argument("--kernel", default="sets",
-                   choices=["sets", "bits", "auto"],
-                   help="MC sub-solver backend (lazymc only)")
-    p.add_argument("--engine", default=None,
-                   choices=["sim", "seq", "process"],
-                   help="execution engine for this job "
-                        "(default: the server's default)")
-    p.add_argument("--processes", type=int, default=0,
-                   help="process count for --engine process (0 = auto)")
+    p.add_argument("--algo", default="lazymc", choices=ALGORITHMS)
+    _add_knob_flags(p, "unset knobs take the server's default", *KNOB_FLAGS)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the server-side result cache")
     p.add_argument("--trace-id", default=None, metavar="ID",

@@ -17,10 +17,23 @@ Each field maps to a design decision the paper measures:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 from ..intersect.early_exit import EarlyExitConfig
 from ..parallel.engine import ENGINE_NAMES
+
+
+#: The MC kernel backends ``kernel_backend`` accepts.
+KERNEL_BACKENDS = ("sets", "bits", "auto")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class PrepopulatePolicy(str, enum.Enum):
@@ -100,19 +113,26 @@ class LazyMCConfig:
             raise ValueError("density_threshold must be in [0, 1]")
         if self.filter_rounds < 0:
             raise ValueError("filter_rounds must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise ValueError("threads must be an int >= 1")
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINE_NAMES)}")
-        if self.processes < 0:
-            raise ValueError("processes must be >= 0 (0 = auto)")
+        if not _is_int(self.processes) or self.processes < 0:
+            raise ValueError("processes must be an int >= 0 (0 = auto)")
+        if self.max_work is not None and not (
+                _is_int(self.max_work) and self.max_work >= 0):
+            raise ValueError("max_work must be None or an int >= 0")
+        if self.max_seconds is not None and not (
+                _is_real(self.max_seconds) and self.max_seconds >= 0):
+            raise ValueError("max_seconds must be None or a number >= 0")
         if self.heuristic_top_k < 1:
             raise ValueError("heuristic_top_k must be >= 1")
         if self.mc_root_bound not in ("none", "dsatur"):
             raise ValueError("mc_root_bound must be 'none' or 'dsatur'")
-        if self.kernel_backend not in ("sets", "bits", "auto"):
-            raise ValueError("kernel_backend must be 'sets', 'bits' or 'auto'")
+        if self.kernel_backend not in KERNEL_BACKENDS:
+            raise ValueError(f"kernel_backend must be one of "
+                             f"{', '.join(KERNEL_BACKENDS)}")
         if self.bits_min_size < 0:
             raise ValueError("bits_min_size must be >= 0")
         if not 0.0 <= self.bits_min_density <= 1.0:

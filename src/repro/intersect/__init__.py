@@ -5,8 +5,6 @@ intersection bigger than θ?" (§IV-B).  This subpackage provides:
 
 * :class:`~repro.intersect.hashset.HopscotchSet` — the paper's hash set
   (hopscotch hashing, neighborhood H = 16, bitmask hop-information).
-* :mod:`~repro.intersect.sorted_ops` — merge and galloping intersections on
-  sorted arrays.
 * :mod:`~repro.intersect.early_exit` — the three early-exit kernels
   ``intersect_size_gt_val``, ``intersect_gt`` (Alg. 3) and
   ``intersect_size_gt_bool`` (Alg. 4), each instrumented and toggleable for
@@ -18,7 +16,6 @@ intersection bigger than θ?" (§IV-B).  This subpackage provides:
 
 from .bitmatrix import BitMatrix, popcount_words
 from .hashset import HopscotchSet
-from .sorted_ops import intersect_sorted, intersect_sorted_galloping, intersect_count_sorted
 from .early_exit import (
     EarlyExitConfig,
     intersect_gt,
@@ -30,9 +27,6 @@ __all__ = [
     "BitMatrix",
     "popcount_words",
     "HopscotchSet",
-    "intersect_sorted",
-    "intersect_sorted_galloping",
-    "intersect_count_sorted",
     "EarlyExitConfig",
     "intersect_gt",
     "intersect_size_gt_val",

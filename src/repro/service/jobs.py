@@ -12,12 +12,38 @@ from __future__ import annotations
 import enum
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
+from ..core.config import LazyMCConfig
 from ..graph.csr import CSRGraph
 
 #: Algorithms a job may request, mirroring ``lazymc solve --algo``.
 ALGORITHMS = ("lazymc", "pmc", "domega-ls", "domega-bs", "mcbrb")
+
+#: The :class:`~repro.core.config.LazyMCConfig` fields a job may override.
+#: Exposing another field to the service means adding its name here.  The
+#: first four may also be set service-wide (``ServiceConfig.defaults``).
+SERVICE_KNOBS = ("max_work", "max_seconds", "engine", "processes",
+                 "threads", "kernel_backend")
+DEFAULT_KNOBS = SERVICE_KNOBS[:4]
+
+
+def knob_overrides(config: Mapping, allowed: tuple[str, ...]) -> dict:
+    """Validated copy of a knob override mapping; ``None`` means not given.
+
+    Raises ``ValueError`` for a key outside ``allowed`` or a value
+    :class:`~repro.core.config.LazyMCConfig` rejects.
+    """
+    if not isinstance(config, Mapping):
+        raise ValueError("config must be a mapping of knob overrides")
+    unknown = set(config) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}; "
+                         f"known: {', '.join(allowed)}")
+    given = {k: v for k, v in config.items() if v is not None}
+    LazyMCConfig(**given)
+    return given
 
 
 @dataclass(frozen=True)
@@ -26,9 +52,11 @@ class JobSpec:
 
     Exactly one of ``target`` (dataset name or file path, resolved by
     :func:`repro.datasets.load_target`) or ``graph`` (an in-memory
-    :class:`~repro.graph.csr.CSRGraph`) must be set.  ``max_work`` is the
-    deterministic work budget (scanned-element units); ``max_seconds`` the
-    wall-clock safety net.  ``None`` defers to the service defaults.
+    :class:`~repro.graph.csr.CSRGraph`) must be set.  ``config`` overrides
+    :class:`~repro.core.config.LazyMCConfig` fields named in
+    :data:`SERVICE_KNOBS` (e.g. ``{"max_work": 10**6, "engine": "seq"}``);
+    a knob it leaves out (or sets to ``None``) takes the service default,
+    then the ``LazyMCConfig`` default.
 
     ``trace_id`` requests per-job search-tree tracing (:mod:`repro.trace`):
     when the service has a trace directory configured, the job's event
@@ -41,18 +69,9 @@ class JobSpec:
     target: str | None = None
     graph: CSRGraph | None = None
     algo: str = "lazymc"
-    threads: int = 1
-    max_work: int | None = None
-    max_seconds: float | None = None
+    config: Mapping = field(default_factory=dict)
     use_cache: bool = True
-    kernel: str = "sets"
     trace_id: str | None = None
-    # Execution engine (repro.parallel.engine): ``None`` defers to the
-    # service default (``ServiceConfig.default_engine``), mirroring how
-    # unset budgets defer.  ``processes`` sizes the process pool (0 =
-    # auto).
-    engine: str | None = None
-    processes: int = 0
 
     def __post_init__(self) -> None:
         if (self.target is None) == (self.graph is None):
@@ -60,18 +79,8 @@ class JobSpec:
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algo {self.algo!r}; "
                              f"known: {', '.join(ALGORITHMS)}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.kernel not in ("sets", "bits", "auto"):
-            raise ValueError("kernel must be 'sets', 'bits' or 'auto'")
-        if self.engine is not None:
-            from ..parallel.engine import ENGINE_NAMES
-
-            if self.engine not in ENGINE_NAMES:
-                raise ValueError(f"engine must be one of "
-                                 f"{', '.join(ENGINE_NAMES)} (or None)")
-        if self.processes < 0:
-            raise ValueError("processes must be >= 0 (0 = auto)")
+        object.__setattr__(self, "config",
+                           knob_overrides(self.config, SERVICE_KNOBS))
         if self.trace_id is not None:
             if not self.trace_id:
                 raise ValueError("trace_id must be a non-empty string")
@@ -80,23 +89,23 @@ class JobSpec:
             if any(c in self.trace_id for c in "/\\") or ".." in self.trace_id:
                 raise ValueError("trace_id must not contain path separators")
 
+    def solver_config(self) -> LazyMCConfig:
+        """The :class:`~repro.core.config.LazyMCConfig` this job runs."""
+        return LazyMCConfig(**self.config)
+
     def config_key(self) -> str:
         """Canonical string of every result-affecting knob except the graph.
 
-        Crossed with the graph fingerprint to form the cache key.  The
+        Crossed with the graph fingerprint to form the cache key: ``algo``
+        plus every :data:`SERVICE_KNOBS` value of the resolved config.  The
         budgets are included because a degraded result is only reusable
         under the *same* budget; ``threads`` because it changes the
         simulated schedule (and hence counters) embedded in the result.
         """
-        return json.dumps({
-            "algo": self.algo,
-            "threads": self.threads,
-            "max_work": self.max_work,
-            "max_seconds": self.max_seconds,
-            "kernel": self.kernel,
-            "engine": self.engine,
-            "processes": self.processes,
-        }, sort_keys=True)
+        config = self.solver_config()
+        return json.dumps({"algo": self.algo,
+                           **{k: getattr(config, k) for k in SERVICE_KNOBS}},
+                          sort_keys=True)
 
 
 class JobState(enum.Enum):

@@ -5,8 +5,10 @@ the newline — trivially scriptable (``echo '{"op":"ping"}' | nc -U sock``)
 and language-agnostic.  Requests carry an ``op``:
 
 ``solve``
-    ``{"op": "solve", "target": "CAroad", "algo": "lazymc", "threads": 1,
-    "max_work": 100000, "max_seconds": 5.0, "use_cache": true}``.
+    ``{"op": "solve", "target": "CAroad", "algo": "lazymc",
+    "config": {"max_work": 100000, "max_seconds": 5.0}, "use_cache": true}``;
+    ``config`` overrides the solver knobs named in
+    :data:`~repro.service.jobs.SERVICE_KNOBS`.
     Tiny ad-hoc graphs may be inlined instead of named:
     ``{"op": "solve", "edges": [[0, 1], [1, 2], [0, 2]]}``.
 ``metrics``
@@ -35,9 +37,8 @@ OPS = ("solve", "metrics", "ping", "shutdown")
 
 #: Keys a solve request may carry (anything else is a client bug worth
 #: flagging loudly rather than silently ignoring).
-_SOLVE_KEYS = {"op", "target", "edges", "algo", "threads",
-               "max_work", "max_seconds", "use_cache", "kernel",
-               "trace_id", "engine", "processes"}
+_SOLVE_KEYS = {"op", "target", "edges", "algo", "config", "use_cache",
+               "trace_id"}
 
 
 def encode_message(message: dict) -> bytes:
@@ -79,6 +80,8 @@ def validate_request(message: dict) -> dict:
         has_edges = message.get("edges") is not None
         if has_target == has_edges:
             raise ProtocolError("solve needs exactly one of target/edges")
+        if not isinstance(message.get("use_cache", True), bool):
+            raise ProtocolError("use_cache must be true or false")
     return message
 
 
@@ -119,35 +122,25 @@ class ServiceClient:
         return decode_line(line)
 
     def solve(self, target: str | None = None, *, edges=None,
-              algo: str = "lazymc", threads: int = 1,
-              max_work: int | None = None, max_seconds: float | None = None,
-              use_cache: bool = True, kernel: str = "sets",
-              trace_id: str | None = None, engine: str | None = None,
-              processes: int = 0) -> dict:
+              algo: str = "lazymc", config: dict | None = None,
+              use_cache: bool = True, trace_id: str | None = None) -> dict:
         """Convenience wrapper building a ``solve`` request.
 
-        ``trace_id`` asks the server to capture this job's search-tree
-        trace under that id (requires the server to run with a trace
-        directory; see ``lazymc serve --trace-dir``).  ``engine`` selects
-        the execution engine ("sim" | "seq" | "process"); ``None`` defers
-        to the server's default.
+        ``config`` overrides solver knobs (e.g. ``{"max_work": 10**6,
+        "engine": "seq"}``); a knob it leaves out takes the server's
+        default.  ``trace_id`` asks the server to capture this job's
+        search-tree trace under that id (requires the server to run with
+        a trace directory; see ``lazymc serve --trace-dir``).
         """
-        message: dict = {"op": "solve", "algo": algo, "threads": threads,
-                         "use_cache": use_cache, "kernel": kernel}
+        message: dict = {"op": "solve", "algo": algo, "use_cache": use_cache}
         if target is not None:
             message["target"] = target
         if edges is not None:
             message["edges"] = [[int(u), int(v)] for u, v in edges]
-        if max_work is not None:
-            message["max_work"] = max_work
-        if max_seconds is not None:
-            message["max_seconds"] = max_seconds
+        if config:
+            message["config"] = config
         if trace_id is not None:
             message["trace_id"] = trace_id
-        if engine is not None:
-            message["engine"] = engine
-        if processes:
-            message["processes"] = int(processes)
         return self.request(validate_request(message))
 
     def metrics(self, format: str = "json") -> dict:

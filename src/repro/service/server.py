@@ -39,14 +39,9 @@ def _spec_from_message(message: dict) -> JobSpec:
         target=message.get("target"),
         graph=graph,
         algo=message.get("algo", "lazymc"),
-        threads=int(message.get("threads", 1)),
-        max_work=message.get("max_work"),
-        max_seconds=message.get("max_seconds"),
-        use_cache=bool(message.get("use_cache", True)),
-        kernel=message.get("kernel", "sets"),
+        config=message.get("config", {}),
+        use_cache=message.get("use_cache", True),
         trace_id=message.get("trace_id"),
-        engine=message.get("engine"),
-        processes=int(message.get("processes", 0)),
     )
 
 

@@ -26,7 +26,8 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 from ..errors import GraphLoadError, QueueFullError
 from ..faults import FaultPlan
@@ -34,7 +35,7 @@ from ..graph.csr import CSRGraph
 from ..graph.fingerprint import fingerprint
 from ..instrument import LATENCY_BUCKETS, WORK_BUCKETS, MetricsRegistry
 from .cache import ResultCache
-from .jobs import JobHandle, JobResult, JobSpec
+from .jobs import DEFAULT_KNOBS, JobHandle, JobResult, JobSpec, knob_overrides
 from .supervisor import SupervisedPool
 from .worker import JobEnv, run_job
 
@@ -45,9 +46,16 @@ class ServiceConfig:
 
     ``workers=0`` runs jobs inline on the submitting thread (deterministic;
     the default for embedding and tests), ``workers>=1`` uses that many
-    processes.  The default budgets apply to jobs that do not set their
-    own; ``None`` means unbounded — production deployments should set
-    ``default_max_work`` so no request can burn unbounded effort.
+    processes.  ``defaults`` holds service-wide knob values
+    (:data:`~repro.service.jobs.DEFAULT_KNOBS`: the two budgets, the
+    execution engine and its process count) for jobs that leave them
+    unset; a knob neither sets takes its
+    :class:`~repro.core.config.LazyMCConfig` default (budgets unbounded)
+    — production deployments should set ``defaults={"max_work": ...}``
+    so no request can burn unbounded effort.  Defaults are merged under
+    the job's own ``config`` before the cache key is formed: the
+    effective budget and engine are part of a result's identity (a
+    degraded answer is only reusable under the same budget).
 
     Jobs always run on a :class:`~repro.service.supervisor.SupervisedPool`.
     Unsupervised (the default), it only isolates crashes: a job that
@@ -69,17 +77,12 @@ class ServiceConfig:
     so it survives worker crashes).  ``trace_sample`` is the recorder's
     sampling stride for per-neighborhood events.  With ``trace_dir``
     unset, trace requests are ignored and jobs run exactly as before.
-
-    ``default_engine``/``default_processes`` select the execution engine
-    (:mod:`repro.parallel.engine`) for jobs that leave ``engine`` unset —
-    resolved before the cache key is formed, like the default budgets.
     """
 
     workers: int = 0
     cache_capacity: int = 128
     graph_cache_capacity: int = 8
-    default_max_work: int | None = None
-    default_max_seconds: float | None = None
+    defaults: Mapping = field(default_factory=dict)
     max_queue_depth: int = 256
     supervise: bool = False
     max_retries: int = 2
@@ -91,18 +94,12 @@ class ServiceConfig:
     fault_plan: FaultPlan | None = None
     trace_dir: str | None = None
     trace_sample: int = 1
-    default_engine: str = "sim"
-    default_processes: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        from ..parallel.engine import ENGINE_NAMES
-        if self.default_engine not in ENGINE_NAMES:
-            raise ValueError(f"default_engine must be one of "
-                             f"{', '.join(ENGINE_NAMES)}")
-        if self.default_processes < 0:
-            raise ValueError("default_processes must be >= 0")
+        object.__setattr__(self, "defaults",
+                           knob_overrides(self.defaults, DEFAULT_KNOBS))
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         if self.max_retries < 0:
@@ -155,7 +152,8 @@ class CliqueService:
         except GraphLoadError as exc:
             self.metrics.inc("jobs_failed")
             return self._completed(spec, JobResult.failure(exc))
-        spec = self._with_default_budgets(spec)
+        spec = dataclasses.replace(
+            spec, config={**self.config.defaults, **spec.config})
         key = (fp, spec.config_key())
         trace_path = self._trace_path(spec)
 
@@ -180,10 +178,8 @@ class CliqueService:
 
         try:
             inner = self.pool.submit(
-                run_job, graph, spec.algo, spec.threads, spec.max_work,
-                spec.max_seconds, spec.kernel, spec.engine,
-                spec.processes, label=spec.algo,
-                env_factory=self._env_factory(trace_path))
+                run_job, graph, spec.algo, spec.solver_config(),
+                label=spec.algo, env_factory=self._env_factory(trace_path))
         except RuntimeError as exc:  # pool already shut down
             self.metrics.inc("jobs_failed")
             return self._completed(spec, JobResult.failure(exc), fp)
@@ -198,25 +194,6 @@ class CliqueService:
         return self.submit(spec).result(timeout)
 
     # -- internals ----------------------------------------------------------------
-
-    def _with_default_budgets(self, spec: JobSpec) -> JobSpec:
-        """Apply service defaults where the job left them unset.
-
-        Done *before* the cache key is formed: the effective budget (and
-        engine — a process-engine result carries different schedule
-        metadata) is part of the result's identity — a degraded answer is
-        only reusable under the same budget.
-        """
-        changes = {}
-        if spec.max_work is None and self.config.default_max_work is not None:
-            changes["max_work"] = self.config.default_max_work
-        if spec.max_seconds is None and self.config.default_max_seconds is not None:
-            changes["max_seconds"] = self.config.default_max_seconds
-        if spec.engine is None:
-            changes["engine"] = self.config.default_engine
-        if spec.processes == 0 and self.config.default_processes:
-            changes["processes"] = self.config.default_processes
-        return dataclasses.replace(spec, **changes) if changes else spec
 
     def _env_factory(self, trace_path: str | None = None):
         """Per-job factory of per-attempt :class:`JobEnv` values.

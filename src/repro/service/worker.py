@@ -64,11 +64,8 @@ class JobEnv:
     trace_sample: int = 1
 
 
-def solve_graph(graph: CSRGraph, algo: str = "lazymc", threads: int = 1,
-                max_work: int | None = None,
-                max_seconds: float | None = None,
-                kernel: str = "sets",
-                engine: str = "sim", processes: int = 0,
+def solve_graph(graph: CSRGraph, algo: str = "lazymc",
+                config: LazyMCConfig | None = None,
                 env: JobEnv | None = None) -> dict:
     """Run ``algo`` on ``graph`` and return a uniform record.
 
@@ -78,15 +75,16 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc", threads: int = 1,
     ``engine`` section (zeroed for solvers that never touch the engine
     layer) regardless of algorithm (the CLI's ``solve --json`` shares
     this contract), plus ``resumed`` when a checkpointed attempt
-    continued a previous one.  Checkpoint/resume, ``solve``-site faults,
-    tracing and the ``kernel`` backend selection ("sets" | "bits" |
-    "auto") are wired for ``lazymc`` only — the baselines manage their
-    own budgets and solvers.  ``engine`` selects the execution engine
-    ("sim" | "seq" | "process", see :mod:`repro.parallel.engine`) for
-    the solvers that run on the engine layer (``lazymc`` and ``pmc``);
-    note that inside a daemonic pool worker the process engine cannot
-    spawn children and records a serial fallback instead of failing.
+    continued a previous one.  ``config`` (default: ``LazyMCConfig()``)
+    is the whole solver configuration for ``lazymc``; the baselines read
+    only its budgets, and ``pmc`` also its ``threads``, ``engine`` and
+    ``processes``.  Checkpoint/resume, ``solve``-site faults and tracing
+    are wired for ``lazymc`` only — the baselines manage their own
+    budgets and solvers.  Inside a daemonic pool worker the process
+    engine cannot spawn children and records a serial fallback instead
+    of failing.
     """
+    config = config if config is not None else LazyMCConfig()
     resumed = False
     tracer = None
     if algo == "lazymc":
@@ -99,7 +97,8 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc", threads: int = 1,
 
             tracer = TraceRecorder(sample_every=env.trace_sample)
             tracer.set_meta(algo=algo, n=graph.n, m=graph.m,
-                            threads=threads, kernel=kernel,
+                            threads=config.threads,
+                            kernel=config.kernel_backend,
                             attempt=env.attempt)
         if env is not None:
             if env.checkpoint_path:
@@ -119,14 +118,9 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc", threads: int = 1,
             checkpointer = Checkpointer(
                 sink, interval_work=env.checkpoint_interval_work)
         try:
-            result = lazymc(graph, LazyMCConfig(threads=threads,
-                                                max_work=max_work,
-                                                max_seconds=max_seconds,
-                                                kernel_backend=kernel,
-                                                engine=engine,
-                                                processes=processes),
-                            checkpointer=checkpointer, resume=resume,
-                            fault_hook=fault_hook, tracer=tracer)
+            result = lazymc(graph, config, checkpointer=checkpointer,
+                            resume=resume, fault_hook=fault_hook,
+                            tracer=tracer)
         finally:
             if tracer is not None:
                 # Written even when an injected fault escapes: a crashed
@@ -136,15 +130,15 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc", threads: int = 1,
     else:
         from ..baselines import domega, mcbrb, pmc
 
+        budgets = {"max_work": config.max_work,
+                   "max_seconds": config.max_seconds}
         if algo == "pmc":
-            result = pmc(graph, threads=threads, max_work=max_work,
-                         max_seconds=max_seconds, engine=engine,
-                         processes=processes)
+            result = pmc(graph, threads=config.threads, engine=config.engine,
+                         processes=config.processes, **budgets)
         elif algo in ("domega-ls", "domega-bs"):
-            result = domega(graph, algo.split("-", 1)[1], max_work=max_work,
-                            max_seconds=max_seconds)
+            result = domega(graph, algo.split("-", 1)[1], **budgets)
         elif algo == "mcbrb":
-            result = mcbrb(graph, max_work=max_work, max_seconds=max_seconds)
+            result = mcbrb(graph, **budgets)
         else:
             raise ValueError(f"unknown algo {algo!r}")
     from ..analysis import engine_section, funnel_section
@@ -195,10 +189,8 @@ def _flushing_sink(inner, tracer, trace_path: str):
     return sink
 
 
-def run_job(graph: CSRGraph, algo: str, threads: int,
-            max_work: int | None, max_seconds: float | None,
-            kernel: str = "sets", engine: str = "sim",
-            processes: int = 0, env: JobEnv | None = None) -> dict:
+def run_job(graph: CSRGraph, algo: str, config: LazyMCConfig,
+            env: JobEnv | None = None) -> dict:
     """Pool entry point: :func:`solve_graph` with failures as records.
 
     Ordinary exceptions never cross the process boundary as exceptions —
@@ -213,8 +205,7 @@ def run_job(graph: CSRGraph, algo: str, threads: int,
     try:
         if plan is not None:
             plan.on_worker_entry()
-        record = solve_graph(graph, algo, threads, max_work, max_seconds,
-                             kernel, engine, processes, env)
+        record = solve_graph(graph, algo, config, env)
         if plan is not None and plan.on_proto():
             raise InjectedFault("injected drop: result lost in transport")
         record["ok"] = True

@@ -91,24 +91,20 @@ class TestEndToEndEquivalence:
 
 class TestServicePlumbing:
     def test_jobspec_accepts_kernel(self):
-        spec = JobSpec(target="CAroad", kernel="bits")
-        assert spec.kernel == "bits"
+        spec = JobSpec(target="CAroad", config={"kernel_backend": "bits"})
+        assert spec.solver_config().kernel_backend == "bits"
 
     def test_jobspec_rejects_bad_kernel(self):
         with pytest.raises(ValueError):
-            JobSpec(target="CAroad", kernel="gpu")
-
-    def test_kernel_differentiates_cache_key(self):
-        a = JobSpec(target="CAroad", kernel="sets")
-        b = JobSpec(target="CAroad", kernel="bits")
-        assert a.config_key() != b.config_key()
+            JobSpec(target="CAroad", config={"kernel_backend": "gpu"})
 
     @pytest.mark.parametrize("kernel", ["sets", "bits", "auto"])
     def test_solve_graph_passes_kernel(self, kernel):
         from repro.datasets import load
         from repro.service.worker import solve_graph
 
-        record = solve_graph(load("WormNet"), kernel=kernel)
+        record = solve_graph(load("WormNet"),
+                             config=LazyMCConfig(kernel_backend=kernel))
         assert record["omega"] == 24
 
 

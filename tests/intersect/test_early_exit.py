@@ -8,7 +8,6 @@ from repro.instrument import Counters
 from repro.intersect import (
     EarlyExitConfig, HopscotchSet,
     intersect_gt, intersect_size_gt_val, intersect_size_gt_bool,
-    intersect_sorted, intersect_sorted_galloping, intersect_count_sorted,
 )
 from repro.intersect.early_exit import SortedArraySet, intersect_exact
 
@@ -198,25 +197,7 @@ class TestAgreementProperties:
             assert v1 == v2
 
 
-class TestSortedOps:
-    @given(st.sets(st.integers(0, 100), max_size=40),
-           st.sets(st.integers(0, 100), max_size=40))
-    @settings(max_examples=80, deadline=None)
-    def test_sorted_kernels_match(self, sa, sb):
-        a = np.asarray(sorted(sa), dtype=np.int64)
-        b = np.asarray(sorted(sb), dtype=np.int64)
-        expected = sorted(sa & sb)
-        assert list(intersect_sorted(a, b)) == expected
-        assert list(intersect_sorted_galloping(a, b)) == expected
-        assert intersect_count_sorted(a, b) == len(expected)
-
-    def test_empty_inputs(self):
-        e = np.empty(0, dtype=np.int64)
-        a = np.array([1, 2, 3])
-        assert len(intersect_sorted(e, a)) == 0
-        assert len(intersect_sorted_galloping(a, e)) == 0
-        assert intersect_count_sorted(e, e) == 0
-
+class TestIntersectExact:
     def test_intersect_exact_instrumented(self):
         c = Counters()
         out = intersect_exact(np.array([1, 2, 3]), {2, 3}, counters=c)

@@ -61,6 +61,11 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             validate_request({"op": "solve", "target": "x", "tmeout": 3})
 
+    def test_legacy_flat_knob_is_an_unknown_solve_key(self):
+        with pytest.raises(ProtocolError, match="unknown solve keys"):
+            validate_request({"op": "solve", "target": "WormNet",
+                              "threads": 1})
+
 
 class TestHandleRequest:
     def test_ping(self, service):
@@ -77,6 +82,26 @@ class TestHandleRequest:
         response, _ = handle_request(
             service, {"op": "solve", "edges": TRIANGLE})
         assert response["ok"] and response["omega"] == 3
+
+    @pytest.mark.parametrize("message, error_type", [
+        ({"config": {"threads": 2.7}}, "ValueError"),
+        ({"config": {"max_work": -5}}, "ValueError"),
+        ({"config": {"max_work": "abc"}}, "ValueError"),
+        ({"config": {"max_seconds": -1}}, "ValueError"),
+        ({"config": {"max_seconds": "x"}}, "ValueError"),
+        ({"config": {"filter_rounds": 3}}, "ValueError"),
+        ({"config": [["threads", 2]]}, "ValueError"),
+        ({"use_cache": "no"}, "ProtocolError"),
+    ], ids=["threads-float", "max_work-negative", "max_work-str",
+            "max_seconds-negative", "max_seconds-str", "config-unknown-key",
+            "config-not-object", "use_cache-str"])
+    def test_bad_solve_rejected_at_admission(self, service, message,
+                                             error_type):
+        response, stop = handle_request(
+            service, {"op": "solve", "target": "WormNet", **message})
+        assert not response["ok"] and not stop
+        assert response["error_type"] == error_type
+        assert service.metrics.counter("jobs_submitted") == 0
 
     def test_bad_target_is_structured(self, service):
         response, _ = handle_request(
@@ -110,11 +135,20 @@ class TestSocketRoundTrip:
 
     def test_degraded_query_over_socket(self, server):
         with client_for(server) as client:
-            response = client.solve("WormNet", max_work=200)
+            response = client.solve("WormNet", config={"max_work": 200})
             assert response["ok"]
             assert not response["exact"]
             assert response["timed_out"]
             assert response["omega"] >= 1
+
+    def test_config_round_trip(self, server):
+        with client_for(server) as client:
+            response = client.solve("WormNet", config={
+                "kernel_backend": "auto", "engine": "seq",
+                "max_work": 10**6})
+            assert response["ok"] and response["exact"]
+            assert response["omega"] == 24
+            assert response["engine"]["backend"] == "seq"
 
     def test_inline_edges_over_socket(self, server):
         with client_for(server) as client:

@@ -16,6 +16,17 @@ from repro.service import (
     ServiceConfig,
     SupervisedPool,
 )
+from repro.service.jobs import DEFAULT_KNOBS, SERVICE_KNOBS
+
+#: Two distinct valid values per service knob.
+KNOB_VALUES = {
+    "max_work": (100, 200),
+    "max_seconds": (1.0, 2.0),
+    "engine": ("sim", "seq"),
+    "processes": (0, 2),
+    "threads": (1, 2),
+    "kernel_backend": ("sets", "bits"),
+}
 
 
 def make_service(**overrides):
@@ -35,11 +46,34 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec(target="CAroad", algo="quantum")
 
-    def test_config_key_separates_budgets(self):
-        a = JobSpec(target="CAroad", max_work=100)
-        b = JobSpec(target="CAroad", max_work=200)
+    def test_rejects_unknown_config_key(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            JobSpec(target="CAroad", config={"filter_rounds": 3})
+
+    def test_knob_values_cover_service_knobs(self):
+        assert set(KNOB_VALUES) == set(SERVICE_KNOBS)
+
+    @pytest.mark.parametrize("knob", SERVICE_KNOBS)
+    def test_config_key_separates_each_knob(self, knob):
+        """Two specs share a key iff they agree on algo and every knob.
+
+        The key is read off the resolved ``LazyMCConfig``, so a knob set
+        to its default equals a knob left out.  A knob left out (or
+        ``None``) takes the service default, but an explicit value never
+        does: ``{"processes": 0}`` keeps 0 (auto) even where the service
+        default is 2.
+        """
+        first, second = KNOB_VALUES[knob]
+        a = JobSpec(target="CAroad", config={knob: first})
+        b = JobSpec(target="CAroad", config={knob: second})
         assert a.config_key() != b.config_key()
-        assert a.config_key() == JobSpec(target="CAroad", max_work=100).config_key()
+        assert a.config_key() == JobSpec(
+            target="CAroad", config={knob: first}).config_key()
+        assert a.config_key() != JobSpec(
+            target="CAroad", algo="mcbrb", config={knob: first}).config_key()
+        default = getattr(JobSpec(target="CAroad").solver_config(), knob)
+        assert JobSpec(target="CAroad", config={knob: default}).config_key() \
+            == JobSpec(target="CAroad").config_key()
 
 
 class TestSolvePaths:
@@ -124,7 +158,8 @@ class TestCaching:
 class TestDegradation:
     def test_tiny_budget_returns_degraded_incumbent(self):
         with make_service() as svc:
-            result = svc.solve(JobSpec(target="WormNet", max_work=200))
+            result = svc.solve(JobSpec(target="WormNet",
+                                       config={"max_work": 200}))
             assert result.ok            # degradation is not an error
             assert not result.exact
             assert result.timed_out
@@ -135,15 +170,52 @@ class TestDegradation:
     def test_degraded_incumbent_is_a_valid_clique(self):
         graph = load("WormNet")
         with make_service() as svc:
-            result = svc.solve(JobSpec(graph=graph, max_work=200))
+            result = svc.solve(JobSpec(graph=graph, config={"max_work": 200}))
             assert graph.is_clique(result.clique)
 
     def test_default_budget_applied_and_part_of_cache_key(self):
-        with make_service(default_max_work=200) as svc:
+        with make_service(defaults={"max_work": 200}) as svc:
             first = svc.solve(JobSpec(target="WormNet"))
             assert not first.exact      # service default tripped
-            second = svc.solve(JobSpec(target="WormNet", max_work=200))
+            second = svc.solve(JobSpec(target="WormNet",
+                                       config={"max_work": 200}))
             assert second.cached        # explicit budget == defaulted budget
+
+
+class TestServiceDefaults:
+    def test_job_without_engine_runs_on_service_default(self):
+        with make_service(defaults={"engine": "seq"}) as svc:
+            result = svc.solve(JobSpec(target="WormNet"))
+            assert result.ok and result.omega == 24
+            assert result.engine["backend"] == "seq"
+
+    def test_job_value_wins_over_default(self):
+        with make_service(defaults={"engine": "seq", "max_work": 200}) as svc:
+            result = svc.solve(JobSpec(
+                target="WormNet", config={"engine": "sim", "max_work": None}))
+            assert result.engine["backend"] == "sim"
+            assert not result.exact     # None defers to the default budget
+
+    @pytest.mark.parametrize("knob", sorted(set(SERVICE_KNOBS)
+                                            - set(DEFAULT_KNOBS)) + ["bogus"])
+    def test_defaults_outside_the_four_rejected(self, knob):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ServiceConfig(defaults={knob: 1})
+
+    def test_bad_default_value_rejected(self):
+        with pytest.raises(ValueError):
+            ServiceConfig(defaults={"max_work": -5})
+
+    def test_specs_resolving_to_one_config_share_a_cache_entry(self):
+        with make_service(defaults={"engine": "seq", "processes": 2}) as svc:
+            first = svc.solve(JobSpec(target="CAroad"))
+            second = svc.solve(JobSpec(target="CAroad", config={
+                "engine": "seq", "processes": 2, "threads": 1}))
+            assert not first.cached and second.cached
+            # An explicit 0 is a value of its own, not "take the default".
+            auto = svc.solve(JobSpec(target="CAroad",
+                                     config={"processes": 0}))
+            assert not auto.cached
 
 
 class TestAdmission:

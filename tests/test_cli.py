@@ -64,8 +64,7 @@ class TestSolveFlags:
     def test_verify_failure_nonzero_exit(self, capsys, monkeypatch):
         import repro.service.worker as worker_mod
 
-        def bogus(graph, algo, threads=1, max_work=None, max_seconds=None,
-                  kernel="sets", engine="sim", processes=0):
+        def bogus(graph, algo, config=None):
             return {"algo": algo, "n": graph.n, "m": graph.m, "omega": 4,
                     "clique": [0, 1, 2, 3], "wall_seconds": 0.0,
                     "timed_out": False, "exact": True, "work": 0}
