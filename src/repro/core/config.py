@@ -67,19 +67,6 @@ class LazyMCConfig:
     seed_per_level: bool = True
     # §IV-A: hash representation for degree > threshold, sorted otherwise.
     hash_degree_threshold: int = 16
-    # §III-C: optional greedy-coloring prune of the filtered candidate set
-    # before dispatching a sub-solver (χ(G[N]) + 1 <= |C*| refutes the
-    # neighborhood).  Off by default — the MC sub-solver colors anyway, so
-    # this only pays when it refutes outright.
-    coloring_filter: bool = False
-    # Local-search improvement of the degree heuristic's clique before
-    # the k-core bound is computed (extension; §II-A heuristic family).
-    local_search: bool = False
-    local_search_moves: int = 100
-    # MC sub-solver extensions (both off by default = the paper's solver):
-    # BRB-style universal-vertex peeling and a DSATUR root bound.
-    mc_reduce_universal: bool = False
-    mc_root_bound: str = "none"  # "none" | "dsatur"
     # MC kernel backend (related work §VI, bit-level parallelism):
     # "sets" is the paper's list[set] solver, "bits" the BBMC-style packed
     # kernel, "auto" picks bits when the filtered subgraph is at least
@@ -90,10 +77,6 @@ class LazyMCConfig:
     kernel_backend: str = "sets"  # "sets" | "bits" | "auto"
     bits_min_size: int = 64
     bits_min_density: float = 0.5
-    # Alg. 5: number of top-degree seeds for degree-based heuristic search.
-    # The paper does not fix K; 8 balances heuristic quality against the
-    # O(|N|^2)-per-extension argmax cost at analogue scale.
-    heuristic_top_k: int = 8
     # Simulated parallelism (§V-F).
     threads: int = 1
     # Execution engine (repro.parallel.engine): "sim" is the deterministic
@@ -126,10 +109,6 @@ class LazyMCConfig:
         if self.max_seconds is not None and not (
                 _is_real(self.max_seconds) and self.max_seconds >= 0):
             raise ValueError("max_seconds must be None or a number >= 0")
-        if self.heuristic_top_k < 1:
-            raise ValueError("heuristic_top_k must be >= 1")
-        if self.mc_root_bound not in ("none", "dsatur"):
-            raise ValueError("mc_root_bound must be 'none' or 'dsatur'")
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(f"kernel_backend must be one of "
                              f"{', '.join(KERNEL_BACKENDS)}")
@@ -137,8 +116,6 @@ class LazyMCConfig:
             raise ValueError("bits_min_size must be >= 0")
         if not 0.0 <= self.bits_min_density <= 1.0:
             raise ValueError("bits_min_density must be in [0, 1]")
-        if self.local_search_moves < 0:
-            raise ValueError("local_search_moves must be >= 0")
 
     def replace(self, **changes) -> "LazyMCConfig":
         """Functional update (dataclasses.replace with a friendlier name)."""

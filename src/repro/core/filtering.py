@@ -233,19 +233,20 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         return
     funnel.after_filter1 += 1
 
+    # A degree-filter stage that does not run passes every neighborhood:
+    # filter 2 is the first round, filter 3 the remaining ones.
     rounds = config.filter_rounds
     survivors, m_hat, passed = _degree_filters(lazy, cand, cstar, config,
                                                counters)
-    if passed >= 1:
+    if passed >= 1 or rounds == 0:
         funnel.after_filter2 += 1
     if passed < rounds:
         if tracer.enabled:
-            technique = "advance_filter" if passed == rounds - 1 \
-                else "early_exit_filter"
+            technique = "early_exit_filter" if passed == 0 \
+                else "advance_filter"
             tracer.prune(technique, v=v, survivors=len(survivors), cstar=cstar)
         return
-    if rounds >= 1:
-        funnel.after_filter3 += 1
+    funnel.after_filter3 += 1
     cand = np.asarray(survivors, dtype=np.int64)
 
     # Density from m̂ (directed count over survivors).
@@ -258,14 +259,13 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
     # Backend resolution (line 14's dispatch, extended with the bit
     # kernel).  The bits backend wants density known and no set-adjacency
     # built at all (packed rows come straight from the membership probes);
-    # every other consumer — the coloring filter, the k-VC complement
-    # build, the sets solver — needs ``list[set]`` adjacency.  When no val
-    # round ran the density is unknown, so sets are materialized first and
-    # "auto" resolves against the measured value.
+    # every other consumer — the k-VC complement build, the sets solver —
+    # needs ``list[set]`` adjacency.  When no val round ran the density is
+    # unknown, so sets are materialized first and "auto" resolves against
+    # the measured value.
     adj: list[set] | None = None
     mat: BitMatrix | None = None
-    if density is None or config.kernel_backend != "bits" \
-            or config.coloring_filter:
+    if density is None or config.kernel_backend != "bits":
         adj = _induced_adjacency(lazy, cand, cstar, counters)
         if density is None:
             edges2 = sum(len(s) for s in adj)
@@ -275,20 +275,6 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         config.kernel_backend == "auto"
         and k >= config.bits_min_size
         and density >= config.bits_min_density)
-
-    # Optional coloring prune (§III-C): a proper coloring of G[N] with
-    # fewer than |C*| colors proves no clique through v can beat the
-    # incumbent — one linear pass instead of a sub-solve.
-    if config.coloring_filter:
-        from ..mc.coloring import greedy_coloring
-
-        colors = greedy_coloring(adj, sorted(range(k), key=lambda i: -len(adj[i])),
-                                 counters=counters)
-        if colors and max(colors.values()) + 1 <= cstar:
-            if tracer.enabled:
-                tracer.prune("coloring_bound", v=v,
-                             colors=max(colors.values()) + 1, cstar=cstar)
-            return
 
     funnel.searched += 1
     # The bit kernel takes precedence over k-VC: both specialize in the
@@ -320,14 +306,10 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
                                   tracer=tracer)
     elif use_bits:
         solver = BitMCSubgraphSolver(counters=counters, budget=budget,
-                                     root_bound=config.mc_root_bound,
-                                     reduce_universal=config.mc_reduce_universal,
                                      tracer=tracer)
         found = solver.solve(mat, lower_bound=cstar - 1)
     else:
         solver = MCSubgraphSolver(counters=counters, budget=budget,
-                                  root_bound=config.mc_root_bound,
-                                  reduce_universal=config.mc_reduce_universal,
                                   tracer=tracer)
         found = solver.solve(adj, lower_bound=cstar - 1)
     sub_work = counters.work - work_before

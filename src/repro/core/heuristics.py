@@ -29,6 +29,11 @@ from ..parallel.incumbent import Incumbent, IncumbentView
 from .config import LazyMCConfig
 from .lazygraph import LazyGraph
 
+#: Alg. 5: number of top-degree seeds for degree-based heuristic search.
+#: The paper does not fix K; 8 balances heuristic quality against the
+#: O(|N|^2)-per-extension argmax cost at analogue scale.
+HEURISTIC_TOP_K = 8
+
 
 def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
                                   config: LazyMCConfig,
@@ -44,7 +49,7 @@ def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
     if n == 0:
         return
     degrees = graph.degrees
-    k = min(config.heuristic_top_k, n)
+    k = min(HEURISTIC_TOP_K, n)
     # Top-K vertices by degree (argpartition = the "identify top-K" step).
     top = np.argpartition(degrees, n - k)[n - k:]
     top = top[np.argsort(-degrees[top], kind="stable")]

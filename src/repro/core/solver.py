@@ -117,12 +117,6 @@ class LazyMC:
             with PhaseTimer(timers, "heuristic_degree", counters), \
                     tracer.span("phase:heuristic_degree"):
                 degree_based_heuristic_search(graph, incumbent, cfg, engine)
-                if cfg.local_search and incumbent.size:
-                    from .local_search import improve_clique
-
-                    improved = improve_clique(graph, incumbent.clique,
-                                              cfg.local_search_moves, counters)
-                    incumbent.offer(improved)
             w_d = incumbent.size
             if tracer.enabled and w_d > 1:
                 tracer.incumbent(w_d, source="heuristic_degree")

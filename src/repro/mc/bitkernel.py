@@ -30,8 +30,8 @@ clique strictly larger than the bound or ``None`` (a proof), honors
 ``WorkBudget`` ticks at every branch node, and checkpoints/resumes over
 the same descending root-index cursor.  Checkpoint cliques are stored in
 kernel-internal (relabelled) ids and are only replayable against the same
-(matrix, bound, config) triple — the same determinism caveat the sets
-backend documents.
+(matrix, bound) pair — the same determinism caveat the sets backend
+documents.
 """
 
 from __future__ import annotations
@@ -44,26 +44,13 @@ from .branch_bound import peel_order
 
 
 class BitMCSubgraphSolver:
-    """Bit-parallel drop-in for :class:`~repro.mc.branch_bound.MCSubgraphSolver`.
-
-    ``root_bound`` is accepted for signature parity but has no separate
-    implementation: the root call's own color bound subsumes a standalone
-    coloring-based refutation (a NUMBER-SORT coloring with <= ``lb``
-    colors makes the root loop return before branching), so "dsatur" adds
-    no pruning the kernel does not already perform.
-    """
+    """Bit-parallel drop-in for :class:`~repro.mc.branch_bound.MCSubgraphSolver`."""
 
     def __init__(self, counters: Counters | None = None,
                  budget: WorkBudget | None = None,
-                 root_bound: str = "none",
-                 reduce_universal: bool = False,
                  tracer: Tracer = NULL_TRACER):
-        if root_bound not in ("none", "dsatur"):
-            raise ValueError("root_bound must be 'none' or 'dsatur'")
         self.counters = counters if counters is not None else Counters()
         self.budget = budget
-        self.root_bound = root_bound
-        self.reduce_universal = reduce_universal
         self.tracer = tracer
         self._rows: list[int] = []
         self._neg_rows: list[int] = []
@@ -123,46 +110,10 @@ class BitMCSubgraphSolver:
         # big-int negation is a full word-vector pass better paid up front.
         self._neg_rows = [~r for r in rows]
 
-        cand = (1 << n) - 1
-
-        # BRB-style universal-vertex peeling (bit form): popcount equality
-        # identifies a vertex adjacent to every other alive vertex; it can
-        # be committed to the clique without branching.
-        prefix: list[int] = []
-        if self.reduce_universal:
-            alive_count = n
-            while True:
-                found = -1
-                q = cand
-                while q:
-                    b = q & -q
-                    u = b.bit_length() - 1
-                    q ^= b
-                    counters.words_scanned += self._wpr
-                    if (rows[u] & cand).bit_count() == alive_count - 1:
-                        found = u
-                        break
-                if found < 0:
-                    break
-                prefix.append(found)
-                cand ^= 1 << found
-                alive_count -= 1
-                counters.kernel_reductions += 1
-
-        residual_bound = max(lower_bound - len(prefix), 0)
         self._best = []
-        self._best_size = residual_bound
-        found_clique: list[int] | None = None
-        if cand:
-            self._run_roots(cand, checkpointer, resume)
-            found_clique = list(self._best) if self._best else None
-
-        if found_clique is not None:
-            kernel_ids = prefix + found_clique
-            return [order[i] for i in kernel_ids]
-        if prefix and len(prefix) > lower_bound:
-            return [order[i] for i in prefix]
-        return None
+        self._best_size = lower_bound
+        self._run_roots((1 << n) - 1, checkpointer, resume)
+        return [order[i] for i in self._best] if self._best else None
 
     # -- internals ---------------------------------------------------------------
 

@@ -15,7 +15,7 @@ import heapq
 from ..checkpoint import Checkpointer, SearchCheckpoint
 from ..instrument import Counters, WorkBudget
 from ..trace.tracer import NULL_TRACER, Tracer
-from .coloring import color_sort, dsatur_coloring
+from .coloring import color_sort
 
 
 def peel_order(degrees: list[int], neighbors) -> list[int]:
@@ -80,15 +80,9 @@ class MCSubgraphSolver:
 
     def __init__(self, counters: Counters | None = None,
                  budget: WorkBudget | None = None,
-                 root_bound: str = "none",
-                 reduce_universal: bool = False,
                  tracer: Tracer = NULL_TRACER):
-        if root_bound not in ("none", "dsatur"):
-            raise ValueError("root_bound must be 'none' or 'dsatur'")
         self.counters = counters if counters is not None else Counters()
         self.budget = budget
-        self.root_bound = root_bound
-        self.reduce_universal = reduce_universal
         self.tracer = tracer
         self._adj: list[set] = []
         self._best: list[int] = []
@@ -109,8 +103,8 @@ class MCSubgraphSolver:
         solve skips the already-explored suffix.  Both default to ``None``,
         which leaves the original (non-checkpointing) path untouched —
         identical results and counters.  Checkpoints are only meaningful
-        across runs with identical ``adj``, bound and configuration: the
-        root order and coloring are deterministic functions of those.
+        across runs with identical ``adj`` and bound: the root order and
+        coloring are deterministic functions of those.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -128,63 +122,13 @@ class MCSubgraphSolver:
     def _solve_impl(self, adj: list[set], lower_bound: int,
                     checkpointer: Checkpointer | None,
                     resume: SearchCheckpoint | None) -> list[int] | None:
-        n = len(adj)
-        if n == 0:
+        if not adj:
             return None
-
-        # BRB-style reduction (extension; the paper notes MC-BRB's rules
-        # "could be easily added"): a universal vertex belongs to some
-        # maximum clique, so it can be moved into the clique prefix and
-        # the problem shrinks — on dense candidate subgraphs this peels
-        # whole near-clique cores without branching.
-        prefix: list[int] = []
-        mapping = list(range(n))
-        work_adj = adj
-        if self.reduce_universal:
-            alive = set(range(n))
-            while True:
-                u = next((u for u in sorted(alive)
-                          if len(adj[u] & alive) == len(alive) - 1), None)
-                if u is None:
-                    break
-                prefix.append(u)
-                alive.remove(u)
-                self.counters.kernel_reductions += 1
-            self.counters.elements_scanned += n
-            if prefix:
-                rest = sorted(alive)
-                remap = {old: i for i, old in enumerate(rest)}
-                work_adj = [{remap[x] for x in adj[old] if x in remap}
-                            for old in rest]
-                mapping = rest
-
-        residual_bound = max(lower_bound - len(prefix), 0)
-        self._adj = work_adj
+        self._adj = adj
         self._best = []
-        self._best_size = residual_bound
-        found: list[int] | None = None
-        if len(work_adj):
-            if self.root_bound == "dsatur" and len(work_adj) > 1:
-                # A DSATUR coloring with k colors proves omega <= k; if that
-                # already fails the bound, the whole solve is refuted for
-                # one coloring's worth of work.
-                colors = dsatur_coloring(work_adj, counters=self.counters)
-                if max(colors.values()) <= self._best_size:
-                    found = None
-                else:
-                    self._run(checkpointer, resume)
-                    found = list(self._best) if self._best else None
-            else:
-                self._run(checkpointer, resume)
-                found = list(self._best) if self._best else None
-
-        if found is not None:
-            return prefix + [mapping[i] for i in found]
-        # No residual clique beats the residual bound; the prefix alone
-        # still wins when it already exceeds the caller's bound.
-        if prefix and len(prefix) > lower_bound:
-            return prefix
-        return None
+        self._best_size = lower_bound
+        self._run(checkpointer, resume)
+        return list(self._best) if self._best else None
 
     def _run(self, checkpointer: Checkpointer | None = None,
              resume: SearchCheckpoint | None = None) -> None:

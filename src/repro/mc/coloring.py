@@ -81,37 +81,6 @@ def color_sort(adj: list[set], candidates: list[int],
     return ordered, colors
 
 
-def dsatur_coloring(adj: list[set], counters: Counters | None = None) -> dict[int, int]:
-    """DSATUR (degree-of-saturation) coloring — tighter than greedy.
-
-    Always colors next the vertex with the most distinctly-colored
-    neighbors (ties by degree).  Costs more than the sequential greedy but
-    produces fewer colors, i.e. a tighter clique upper bound; exposed as
-    the optional root bound of :class:`~repro.mc.branch_bound.MCSubgraphSolver`.
-    """
-    n = len(adj)
-    colors: dict[int, int] = {}
-    saturation: list[set] = [set() for _ in range(n)]
-    uncolored = set(range(n))
-    probes = 0
-    while uncolored:
-        v = max(uncolored, key=lambda u: (len(saturation[u]), len(adj[u]), -u))
-        probes += len(uncolored)
-        c = 1
-        while c in saturation[v]:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for u in adj[v]:
-            probes += 1
-            if u in uncolored:
-                saturation[u].add(c)
-    if counters is not None:
-        counters.colorings += 1
-        counters.elements_scanned += probes
-    return colors
-
-
 def chromatic_upper_bound(adj: list[set], vertices: list[int] | None = None) -> int:
     """Number of colors used by the greedy coloring — an upper bound on ω.
 

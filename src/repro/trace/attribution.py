@@ -93,7 +93,6 @@ def work_attribution(result) -> WorkAttribution:
         "lazy_filter": int(funnel.after_coreness - funnel.after_filter1),
         "early_exit_filter": int(funnel.after_filter1 - funnel.after_filter2),
         "advance_filter": int(funnel.after_filter2 - funnel.after_filter3),
-        "coloring_bound": int(funnel.after_filter3 - funnel.searched),
     }
 
     return WorkAttribution(

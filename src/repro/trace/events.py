@@ -48,14 +48,12 @@ SCHEMA_VERSION = 1
 #: ``lazy_filter`` (coreness-filtered candidate set too small, filter 1),
 #: ``early_exit_filter`` (boolean early-exit degree round, filter 2),
 #: ``advance_filter`` (exact-size kernel round, filter 3),
-#: ``coloring_bound`` (greedy coloring refutation, §III-C),
 #: ``mc_subsolve`` / ``kvc_subsolve`` / ``bits_subsolve`` (the chosen
 #: sub-solver proved no clique beats the incumbent).
 TECHNIQUES = (
     "lazy_filter",
     "early_exit_filter",
     "advance_filter",
-    "coloring_bound",
     "mc_subsolve",
     "kvc_subsolve",
     "bits_subsolve",

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import LazyMCConfig, LazyGraph, filtering
 from repro.core.filtering import FilterFunnel, neighbor_search
 from repro.core.heuristics import (
-    coreness_based_heuristic_search, degree_based_heuristic_search,
+    HEURISTIC_TOP_K, coreness_based_heuristic_search,
+    degree_based_heuristic_search,
 )
 from repro.graph import coreness, coreness_degree_order, from_edges, complete_graph
 from repro.graph import generators as gen
@@ -73,9 +74,8 @@ class TestDegreeHeuristic:
         sched = SimulatedScheduler(1)
         inc = Incumbent()
         inc.offer([0])
-        cfg = LazyMCConfig(heuristic_top_k=4)
-        degree_based_heuristic_search(g, inc, cfg, sched)
-        assert len(sched.report.tasks) == 4
+        degree_based_heuristic_search(g, inc, LazyMCConfig(), sched)
+        assert len(sched.report.tasks) == min(HEURISTIC_TOP_K, g.n)
 
 
 class TestCorenessHeuristic:

@@ -1,5 +1,7 @@
 """End-to-end exactness and behavior tests for the LazyMC solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,12 +98,31 @@ class TestAblationConfigsExact:
         "tiny_hash_threshold": LazyMCConfig(hash_degree_threshold=1),
         "threads_4": LazyMCConfig(threads=4),
         "threads_32": LazyMCConfig(threads=32),
-        "small_topk": LazyMCConfig(heuristic_top_k=2),
-        "coloring_filter": LazyMCConfig(coloring_filter=True),
-        "local_search": LazyMCConfig(local_search=True),
-        "brb_universal": LazyMCConfig(mc_reduce_universal=True, use_kvc=False),
-        "dsatur_bound": LazyMCConfig(mc_root_bound="dsatur", use_kvc=False),
+        # Thresholds at zero so "auto" picks the bit kernel for every
+        # searched neighborhood (the default size threshold of 64 never
+        # fires on graphs this small).
+        "kernel_auto": LazyMCConfig(kernel_backend="auto", bits_min_size=0,
+                                    bits_min_density=0.0),
     }
+
+    #: Fields no entry above varies, each covered by its own suite.
+    EXEMPT = {
+        "engine": "engine parity lives in tests/parallel/test_engine.py",
+        "processes": "pool sizing lives in tests/parallel/test_engine.py",
+        "max_work": "budgets live in tests/core/test_budget_robustness.py",
+        "max_seconds": "wall budgets live in tests/test_instrument.py",
+    }
+
+    def test_every_field_is_varied(self):
+        default = LazyMCConfig()
+        varied = {f.name for cfg in self.CONFIGS.values()
+                  for f in dataclasses.fields(LazyMCConfig)
+                  if getattr(cfg, f.name) != getattr(default, f.name)}
+        names = {f.name for f in dataclasses.fields(LazyMCConfig)}
+        assert not varied & set(self.EXEMPT), "exempt field is varied"
+        assert names - set(self.EXEMPT) <= varied, \
+            f"never varied: {sorted(names - set(self.EXEMPT) - varied)}"
+        assert set(self.EXEMPT) <= names, "exemption names no field"
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_config_exact(self, name):
@@ -111,6 +132,16 @@ class TestAblationConfigsExact:
             r = lazymc(g, cfg)
             assert r.omega == len(brute_force_max_clique(g)), name
             assert r.verify(g), name
+        # The 16-vertex graphs rarely get past the filters; these reach the
+        # sub-solver arm each config selects.
+        searched = 0
+        for seed in range(2):
+            g = random_graph(30, 0.6, seed=seed * 7 + 2)
+            r = lazymc(g, cfg)
+            assert r.omega == nx_max_clique_size(g), name
+            assert r.verify(g), name
+            searched += r.funnel.searched
+        assert searched > 0, name
 
 
 class TestDeterminism:
@@ -181,9 +212,6 @@ class TestConfigValidation:
         dict(density_threshold=-0.1),
         dict(filter_rounds=-1),
         dict(threads=0),
-        dict(heuristic_top_k=0),
-        dict(mc_root_bound="rainbow"),
-        dict(local_search_moves=-1),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -64,19 +64,6 @@ class TestBitsVsSetsEquivalence:
             assert len(bits_found) == len(sets_found)
             assert _is_clique(adj, bits_found)
 
-    @given(n=st.integers(1, 24), p=st.floats(0.3, 0.95),
-           seed=st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_reduce_universal_same_size(self, n, p, seed):
-        adj = _random_adj(n, p, seed)
-        base = MCSubgraphSolver().solve(adj)
-        reduced = BitMCSubgraphSolver(reduce_universal=True).solve(
-            BitMatrix.from_sets(adj))
-        assert (reduced is None) == (base is None)
-        if base is not None:
-            assert len(reduced) == len(base)
-            assert _is_clique(adj, reduced)
-
     def test_empty_matrix(self):
         assert BitMCSubgraphSolver().solve(BitMatrix(0)) is None
 

@@ -1,8 +1,8 @@
 """Smoke tests: the example scripts run and print what they promise.
 
-Only the two fastest examples run here; the remaining three are exercised
-by `pytest benchmarks/` territory (they take tens of seconds) and were
-validated manually — their underlying APIs are covered by unit tests.
+Only the two fastest examples run here, with their output checked; the
+CI `tests` job runs every script in `examples/` and fails on a non-zero
+exit.
 """
 
 import subprocess

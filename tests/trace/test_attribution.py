@@ -16,7 +16,7 @@ CONFIGS = {
     "default": LazyMCConfig(),
     "no_kvc": LazyMCConfig(use_kvc=False),
     "bits": LazyMCConfig(kernel_backend="bits"),
-    "coloring": LazyMCConfig(coloring_filter=True),
+    **{f"filter_rounds_{r}": LazyMCConfig(filter_rounds=r) for r in range(4)},
 }
 
 
@@ -51,21 +51,36 @@ class TestLedgerInvariants:
             assert ledger.systematic["kvc_subsolve"] > 0
         if label == "no_kvc":
             assert ledger.searched_kvc == 0
+        if label == "filter_rounds_0":
+            # No degree-filter round ran, so neither stage refuted anything.
+            assert ledger.pruned_by_technique["early_exit_filter"] == 0
+            assert ledger.pruned_by_technique["advance_filter"] == 0
 
     def test_budgeted_run_stays_exact(self):
         result = lazymc(load("WormNet"), LazyMCConfig(max_work=5000))
         assert result.timed_out
         check_invariants(result)
 
-    def test_ledger_matches_trace_prune_counts_at_full_sampling(self):
+    @staticmethod
+    def assert_trace_prunes_match_ledger(graph, config=None):
         rec = TraceRecorder()
-        result = lazymc(load("WormNet"), tracer=rec)
+        result = lazymc(graph, config, tracer=rec)
         ledger = work_attribution(result)
         summary = summarize_events(rec.all_events())
         funnel_prunes = {t: n for t, n in summary["prunes"].items()
                          if not t.endswith("_subsolve")}
         expected = {t: n for t, n in ledger.pruned_by_technique.items() if n}
         assert funnel_prunes == expected
+
+    def test_ledger_matches_trace_prune_counts_at_full_sampling(self):
+        self.assert_trace_prunes_match_ledger(load("WormNet"))
+
+    @pytest.mark.parametrize("rounds", range(4))
+    def test_prune_tags_match_ledger_at_every_filter_rounds(self, rounds):
+        # The first degree round is filter 2 (early_exit_filter), every
+        # later round filter 3 (advance_filter), whatever the round count.
+        self.assert_trace_prunes_match_ledger(
+            load("HS-CX"), LazyMCConfig(filter_rounds=rounds))
 
 
 class TestSummarizeEvents:

@@ -133,7 +133,6 @@ class TestTracedConfigVariants:
         "default": LazyMCConfig(),
         "no_kvc": LazyMCConfig(use_kvc=False),
         "bits": LazyMCConfig(kernel_backend="bits"),
-        "coloring": LazyMCConfig(coloring_filter=True),
     }
 
     @pytest.mark.parametrize("label", sorted(CONFIGS))

@@ -145,7 +145,7 @@ class TestSerialization:
     def test_stream_shape_and_schema(self):
         rec = TraceRecorder(Counters(), meta={"target": "g"})
         with rec.span("s"):
-            rec.prune("coloring_bound")
+            rec.prune("lazy_filter")
         rec.finish()
         events = rec.all_events()
         assert events[0]["ev"] == "trace_start"
