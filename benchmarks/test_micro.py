@@ -8,7 +8,6 @@ from repro.instrument import Counters
 from repro.intersect import (
     HopscotchSet, intersect_size_gt_bool, intersect_size_gt_val,
 )
-from repro.intersect.bitset import BitsetSet
 from repro.intersect.early_exit import SortedArraySet
 
 
@@ -24,13 +23,6 @@ class TestKernelTiming:
         rep = HopscotchSet.from_iterable(int(x) for x in b)
         result = benchmark(lambda: sum(1 for x in a if x in rep))
         assert result == len(set(a) & set(b))
-
-    def test_bitset_intersection_count(self, benchmark, pair):
-        a, b = pair
-        sa = BitsetSet.from_array(4096, a)
-        sb = BitsetSet.from_array(4096, b)
-        result = benchmark(lambda: sa.intersection_count(sb))
-        assert result == len(set(map(int, a)) & set(map(int, b)))
 
     def test_early_exit_val_kernel(self, benchmark, pair):
         a, b = pair

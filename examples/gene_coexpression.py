@@ -43,22 +43,6 @@ def main() -> None:
     r = lazymc(graph, LazyMCConfig(use_kvc=False))
     print(f"  MC only : work = {r.counters.work:>9d}")
 
-    # Weighted variant: genes carry expression scores; find the module
-    # with the highest total score rather than the largest cardinality.
-    import numpy as np
-
-    from repro.graph.subgraph import induced_adjacency_sets
-    from repro.mc import max_weight_clique
-
-    rng = np.random.default_rng(1)
-    scores = rng.uniform(0.5, 3.0, size=graph.n)
-    adj = induced_adjacency_sets(graph, np.arange(graph.n))
-    module, total = max_weight_clique(adj, scores)
-    print(f"\nhighest-scoring co-expressed module: {len(module)} genes, "
-          f"total score {total:.2f}")
-    print(f"(cardinality-max module has {base.omega} genes, score "
-          f"{sum(scores[v] for v in base.clique):.2f})")
-
 
 if __name__ == "__main__":
     main()

@@ -1,8 +1,8 @@
 """Kernel-level microbenchmarks: representations, early exits, backends.
 
 Not a paper artifact, but the measurement base under Figs. 4/5: compares
-the three set representations (hopscotch hash, sorted array, bit-parallel
-bitset), quantifies the early-exit benefit as a function of how far the
+three set representations (hopscotch hash, sorted array, builtin set),
+quantifies the early-exit benefit as a function of how far the
 intersection outcome is from the threshold θ, and races the sets vs bits
 branch-and-bound kernels on dense random subgraphs — the committed
 ``BENCH_3.json`` baseline the ``perf`` CI job diffs against.
@@ -26,7 +26,6 @@ import numpy as np
 from ..instrument import Counters
 from ..intersect import (BitMatrix, HopscotchSet, intersect_size_gt_bool,
                          intersect_size_gt_val)
-from ..intersect.bitset import BitsetSet
 from ..intersect.early_exit import EarlyExitConfig, SortedArraySet
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
@@ -56,7 +55,6 @@ def run_representations(sizes=(32, 128, 512), overlaps=(0.1, 0.5, 0.9),
             reps = {
                 "hopscotch": HopscotchSet.from_iterable(int(x) for x in b),
                 "sorted": SortedArraySet(b),
-                "bitset": BitsetSet.from_array(universe, b),
                 "pyset": set(int(x) for x in b),
             }
             row = {"size": size, "overlap": overlap}
@@ -299,9 +297,9 @@ def render(results: dict) -> str:
     rows = results["representations"]
     parts.append(render_table(
         ["size", "overlap", "ns/probe hopscotch", "ns/probe sorted",
-         "ns/probe bitset", "ns/probe pyset"],
+         "ns/probe pyset"],
         [[r["size"], f'{r["overlap"]:.1f}', r["ns_hopscotch"], r["ns_sorted"],
-          r["ns_bitset"], r["ns_pyset"]] for r in rows],
+          r["ns_pyset"]] for r in rows],
         title="Micro — membership probe cost by representation", precision=0))
     rows = results["early_exit"]
     parts.append(render_table(

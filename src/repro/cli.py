@@ -225,8 +225,11 @@ def _cmd_serve(args) -> int:
         server = CliqueServer(service, socket_path=args.socket,
                               fault_plan=plan)
     supervised = " supervised," if args.supervise else ""
+    # The server has bound and listened by now, so the banner is the
+    # readiness signal that scripts and tests wait on: flush it at once.
     print(f"lazymc service listening on {server.address} "
-          f"({supervised} {service.pool.mode} pool, {args.workers} workers)")
+          f"({supervised} {service.pool.mode} pool, {args.workers} workers)",
+          flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -14,8 +14,6 @@ from .coloring import greedy_coloring, color_sort, chromatic_upper_bound
 from .branch_bound import max_clique_subgraph, MCSubgraphSolver, peel_order
 from .bitkernel import max_clique_bits, BitMCSubgraphSolver
 from .bronkerbosch import bron_kerbosch_pivot, enumerate_maximal_cliques
-from .kclique import count_k_cliques, find_k_clique, has_k_clique
-from .weighted import MaxWeightCliqueSolver, max_weight_clique
 
 __all__ = [
     "greedy_coloring",
@@ -28,9 +26,4 @@ __all__ = [
     "BitMCSubgraphSolver",
     "bron_kerbosch_pivot",
     "enumerate_maximal_cliques",
-    "count_k_cliques",
-    "find_k_clique",
-    "has_k_clique",
-    "MaxWeightCliqueSolver",
-    "max_weight_clique",
 ]

@@ -87,6 +87,11 @@ class Tracer:
     def finish(self) -> None:
         """Mark the trace complete (footer gets ``complete: true``)."""
 
+    def __repr__(self) -> str:
+        # Stable, address-free: signatures that default to NULL_TRACER
+        # render identically on every run (docs/api.md is diffed in CI).
+        return f"{type(self).__name__}()"
+
 
 #: Module-level no-op singleton; identity-comparable and allocation-free.
 NULL_TRACER = Tracer()

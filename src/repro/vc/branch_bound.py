@@ -36,13 +36,10 @@ def _matching_lower_bound(adj: list[set]) -> int:
 
 
 def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
-               budget: WorkBudget | None = None,
-               fold_degree2: bool = False) -> list[int] | None:
+               budget: WorkBudget | None = None) -> list[int] | None:
     """Return a vertex cover of size <= k, or ``None`` if none exists.
 
     Exact: a ``None`` answer proves the minimum vertex cover exceeds k.
-    ``fold_degree2`` enables the merging degree-2 kernel rule (an extension
-    beyond the paper's non-merging implementation).
     """
     if k < 0:
         return None
@@ -53,32 +50,25 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
         if budget is not None:
             budget.check()
 
-        kr = kernelize(work, k, counters=counters, fold_degree2=fold_degree2)
+        kr = kernelize(work, k, counters=counters)
         if not kr.feasible:
             return None
         work = kr.adj
         k = kr.k
         forced = kr.forced
 
-        def finish(residual_cover: list[int]) -> list[int]:
-            # Covers of the folded residual instance must be unfolded
-            # before returning upstream.  ``forced`` participates too: the
-            # Buss rule can force a fold center (whose membership means
-            # "take both folded endpoints").
-            return kr.unfold(forced + residual_cover)
-
         degrees = [len(s) for s in work]
         if counters is not None:
             counters.elements_scanned += len(work)
         max_deg = max(degrees, default=0)
         if max_deg == 0:
-            return finish([])
+            return forced
         if _matching_lower_bound(work) > k:
             return None
         if max_deg <= 2:
             cover = vc_paths_and_cycles(work)
             if len(cover) <= k:
-                return finish(cover)
+                return forced + cover
             return None
 
         v = degrees.index(max_deg)
@@ -89,7 +79,7 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
         left[v] = set()
         res = search(left, k - 1)
         if res is not None:
-            return finish([v] + res)
+            return forced + [v] + res
         # Branch 2: N(v) in the cover (v excluded).
         nbrs = list(work[v])
         if len(nbrs) > k:
@@ -101,7 +91,7 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
             right[u] = set()
         res = search(right, k - len(nbrs))
         if res is not None:
-            return finish(nbrs + res)
+            return forced + nbrs + res
         return None
 
     result = search([set(s) for s in adj], k)

@@ -7,9 +7,7 @@ Implements, in the paper's scope, the rules that never merge vertices:
 * **Buss rule** — any vertex of degree > k must join the cover (otherwise
   all of its > k neighbors would have to).
 * **degree-2, triangle case** — if v's two neighbors u, w are adjacent,
-  then {u, w} joins the cover.  (The folding case, where u and w are
-  non-adjacent and get merged, is *not* implemented — the paper implements
-  "only those cases where no vertices are merged".)
+  then {u, w} joins the cover.
 * **Buss size bound** — after exhaustive application, a yes-instance has at
   most k^2 + k edges and k^2 vertices of positive degree; exceeding either
   proves infeasibility.
@@ -32,36 +30,14 @@ class KernelResult:
     ``feasible`` false means the instance is a proven no-instance.  When
     feasible, ``adj`` is the residual instance (same vertex ids, covered or
     removed vertices have empty adjacency), ``forced`` lists vertices that
-    every cover of size <= k must (or may safely) contain, ``folds`` lists
-    degree-2 folds as ``(v, u, w)`` in application order (only when folding
-    is enabled — an extension beyond the paper, which implements only the
-    non-merging rules), and ``k`` is the residual budget.
+    every cover of size <= k must (or may safely) contain, and ``k`` is the
+    residual budget.
     """
 
     feasible: bool
     adj: list[set] = field(default_factory=list)
     forced: list[int] = field(default_factory=list)
-    folds: list[tuple[int, int, int]] = field(default_factory=list)
     k: int = 0
-
-    def unfold(self, cover: list[int]) -> list[int]:
-        """Reconstruct a cover of the pre-folding instance.
-
-        For each fold ``(v, u, w)`` in reverse order: if the folded vertex
-        ``v`` is in the cover, it stands for "take both endpoints" —
-        replace it with ``{u, w}``; otherwise the fold's center ``v``
-        itself joins the cover.  Either way the cover grows by exactly one
-        vertex, matching the per-fold budget decrement.
-        """
-        result = set(cover)
-        for v, u, w in reversed(self.folds):
-            if v in result:
-                result.discard(v)
-                result.add(u)
-                result.add(w)
-            else:
-                result.add(v)
-        return sorted(result)
 
 
 def _remove_vertex(adj: list[set], v: int) -> None:
@@ -70,19 +46,18 @@ def _remove_vertex(adj: list[set], v: int) -> None:
     adj[v] = set()
 
 
-def kernelize(adj: list[set], k: int, counters: Counters | None = None,
-              fold_degree2: bool = False) -> KernelResult:
+def kernelize(adj: list[set], k: int,
+              counters: Counters | None = None) -> KernelResult:
     """Apply all rules to a fixpoint.
 
-    ``adj`` is not mutated; a working copy is made.  Runs in O(sum degree)
-    per round with a worklist of low-degree vertices.  ``fold_degree2``
-    additionally enables the merging degree-2 rule (beyond the paper);
-    callers must pass covers of the residual instance through
-    :meth:`KernelResult.unfold`.
+    ``adj`` is not mutated; a working copy is made.  Each round scans every
+    vertex id in order and applies the rule that fits the vertex's current
+    degree.  Rounds repeat until one changes nothing: a round costs
+    O(n + sum degree), and every changing round lowers k, so there are at
+    most k + 2 rounds.
     """
     work = [set(s) for s in adj]
     forced: list[int] = []
-    folds: list[tuple[int, int, int]] = []
     n = len(work)
 
     changed = True
@@ -129,24 +104,6 @@ def kernelize(adj: list[set], k: int, counters: Counters | None = None,
                         counters.kernel_reductions += 1
                     if k < 0:
                         return KernelResult(feasible=False)
-                elif fold_degree2:
-                    # Fold: merge {v, u, w} into one vertex (reusing v's
-                    # slot) adjacent to N(u) ∪ N(w) minus the trio.
-                    # VC(G) = VC(G') + 1.
-                    merged = (work[u] | work[w]) - {v, u, w}
-                    _remove_vertex(work, u)
-                    _remove_vertex(work, w)
-                    _remove_vertex(work, v)
-                    work[v] = set(merged)
-                    for x in merged:
-                        work[x].add(v)
-                    folds.append((v, u, w))
-                    k -= 1
-                    changed = True
-                    if counters is not None:
-                        counters.kernel_reductions += 1
-                    if k < 0:
-                        return KernelResult(feasible=False)
 
     # Buss size bound on the residual kernel: after the Buss rule every
     # degree is <= k, so a cover of size <= k covers at most k^2 edges and
@@ -155,4 +112,4 @@ def kernelize(adj: list[set], k: int, counters: Counters | None = None,
     positive = sum(1 for s in work if s)
     if edges > k * k or positive > k * k + k:
         return KernelResult(feasible=False)
-    return KernelResult(feasible=True, adj=work, forced=forced, folds=folds, k=k)
+    return KernelResult(feasible=True, adj=work, forced=forced, k=k)

@@ -11,7 +11,7 @@ class TestMicroArtifact:
         assert len(rows) == 1
         r = rows[0]
         assert all(r[f"ns_{k}"] > 0
-                   for k in ("hopscotch", "sorted", "bitset", "pyset"))
+                   for k in ("hopscotch", "sorted", "pyset"))
 
     def test_early_exit_report_shape(self):
         rows = micro.run_early_exit_benefit(n=64)

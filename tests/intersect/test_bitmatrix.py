@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.intersect import BitMatrix, popcount_words
 from repro.intersect.bitmatrix import popcount_words_lut
-from repro.intersect.bitset import BitsetSet
 
 
 def _random_adj(n: int, p: float, seed: int) -> list[set]:
@@ -94,31 +93,3 @@ class TestBitMatrix:
         full = BitMatrix.from_sets(
             [set(range(5)) - {v} for v in range(5)])
         assert full.density() == 1.0
-
-
-class TestBitsetIntersectionSizeGt:
-    """Block-chunked ``intersection_size_gt`` vs the brute-force answer."""
-
-    @given(universe=st.integers(1, 5000), pa=st.floats(0, 1),
-           pb=st.floats(0, 1), theta=st.integers(0, 200),
-           seed=st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bruteforce(self, universe, pa, pb, theta, seed):
-        import random
-
-        rng = random.Random(seed)
-        a_members = [x for x in range(universe) if rng.random() < pa]
-        b_members = [x for x in range(universe) if rng.random() < pb]
-        a = BitsetSet.from_array(universe, np.array(a_members, dtype=np.int64))
-        b = BitsetSet.from_array(universe, np.array(b_members, dtype=np.int64))
-        expected = len(set(a_members) & set(b_members)) > theta
-        assert a.intersection_size_gt(b, theta) == expected
-
-    def test_early_exit_across_blocks(self):
-        # > 32 words so the chunked loop takes more than one block.
-        universe = 64 * 40
-        members = np.arange(universe, dtype=np.int64)
-        a = BitsetSet.from_array(universe, members)
-        b = BitsetSet.from_array(universe, members)
-        assert a.intersection_size_gt(b, 10)
-        assert not a.intersection_size_gt(b, universe)

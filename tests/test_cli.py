@@ -171,15 +171,18 @@ class TestServeQuery:
         thread = threading.Thread(
             target=main, args=(["serve", "--socket", sock],), daemon=True)
         thread.start()
-        for _ in range(100):
-            if (tmp_path / "cli.sock").exists():
-                break
-            time.sleep(0.05)
+        # The socket file appears at bind(), before listen(): wait for the
+        # banner, which serve prints only once the server is listening.
+        banner = ""
+        deadline = time.monotonic() + 10
+        while "listening on" not in banner:
+            assert time.monotonic() < deadline, \
+                f"serve printed no readiness banner in 10 s: {banner!r}"
+            time.sleep(0.02)
+            banner += capsys.readouterr().out
+
         def json_out():
-            # The serve thread's startup banner shares the capture buffer;
-            # parse from the first brace.
-            out = capsys.readouterr().out
-            return json.loads(out[out.index("{"):])
+            return json.loads(capsys.readouterr().out)
 
         assert main(["query", "CAroad", "--socket", sock, "--json"]) == 0
         first = json_out()
