@@ -21,7 +21,6 @@ from .checkpoint import Checkpointer, SearchCheckpoint, load_checkpoint, save_ch
 from .core import LazyMC, LazyMCConfig, MCResult, PrepopulatePolicy, lazymc
 from .errors import (
     BudgetExceeded,
-    CheckpointError,
     CircuitOpenError,
     DatasetError,
     GraphConstructionError,
@@ -67,7 +66,6 @@ __all__ = [
     "ProtocolError",
     "QueueFullError",
     "InjectedFault",
-    "CheckpointError",
     "WorkerCrashError",
     "CircuitOpenError",
     "FaultPlan",

@@ -11,14 +11,10 @@ interval of work.  This is the serving analogue of the paper's
 degradation contract: a partial answer (and now, partial *progress*) is
 always available.
 
-Two searches checkpoint themselves against this format:
-
-* the LazyMC driver's systematic sweep (:mod:`repro.core.systematic`),
-  where the root branches are the coreness levels of Alg. 7 and
-  ``cursor`` is the next level to sweep (descending);
-* the MCQ-style subgraph solver (:mod:`repro.mc.branch_bound`), where
-  the root branches are the color-ordered root vertices and ``cursor``
-  is the next root index (descending).
+One search checkpoints itself against this format: the LazyMC driver's
+systematic sweep (:mod:`repro.core.systematic`), where the root branches
+are the coreness levels of Alg. 7 and ``cursor`` is the next level to
+sweep (descending).
 
 Checkpoints are plain pickles written atomically (temp file +
 ``os.replace``) so a worker killed mid-write can never leave a torn file;
@@ -40,13 +36,12 @@ from typing import Callable
 class SearchCheckpoint:
     """Picklable snapshot of an in-progress branch-and-bound search.
 
-    ``clique`` is the incumbent (original graph ids for the driver-level
-    checkpoint, local ids for the subgraph solver), ``work`` the counter
-    value at snapshot time, ``cursor`` the next unexplored root branch
-    (coreness level or root index, both descending; ``None`` = the sweep
-    has not started), and ``seed_done`` whether Alg. 7's per-level
-    seeding pass already ran.  ``complete`` marks a search that finished
-    normally — resuming from it is a no-op sweep.
+    ``clique`` is the incumbent in original graph ids, ``work`` the
+    counter value at snapshot time, ``cursor`` the next coreness level to
+    sweep (descending; ``None`` = the sweep has not started), and
+    ``seed_done`` whether Alg. 7's per-level seeding pass already ran.
+    ``complete`` marks a search that finished normally — resuming from it
+    is a no-op sweep.
     """
 
     clique: list[int] = field(default_factory=list)
@@ -54,7 +49,6 @@ class SearchCheckpoint:
     cursor: int | None = None
     seed_done: bool = False
     complete: bool = False
-    meta: dict = field(default_factory=dict)
 
 
 def save_checkpoint(checkpoint: SearchCheckpoint, path: str | os.PathLike) -> None:
@@ -115,12 +109,6 @@ class Checkpointer:
         self.interval_work = max(0, int(interval_work))
         self.recorded = 0
         self._last_work: int | None = None
-
-    @classmethod
-    def to_path(cls, path: str | os.PathLike,
-                interval_work: int = 0) -> "Checkpointer":
-        """Checkpointer persisting to ``path`` via :func:`save_checkpoint`."""
-        return cls(lambda ckpt: save_checkpoint(ckpt, path), interval_work)
 
     def offer(self, checkpoint: SearchCheckpoint, force: bool = False) -> bool:
         """Record ``checkpoint`` unless the work throttle suppresses it."""

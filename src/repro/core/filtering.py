@@ -196,8 +196,10 @@ def neighbor_search(lazy: LazyGraph, v: int, view: IncumbentView,
     """Search the right-neighborhood of relabelled vertex ``v`` (Alg. 8).
 
     Improvements are offered to ``view``; the caller publishes them.
-    ``tracer`` (sampled) records one ``neighborhood`` span per call plus
-    technique-tagged prune events at each early return.
+    ``tracer`` (sampled) records one ``neighborhood`` span per call, one
+    ``{mc,bits,kvc}_subsolve`` span per dispatched sub-solve, and
+    technique-tagged prune events at each early return and each refuting
+    sub-solve.
     """
     if budget is not None:
         budget.check()
@@ -288,10 +290,10 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         funnel.searched_mc += 1
         counters.mc_subsolves += 1
 
+    arm = "kvc" if use_kvc else ("bits" if use_bits else "mc")
     if tracer.enabled:
-        backend = "kvc" if use_kvc else ("bits" if use_bits else "sets")
-        tracer.point("dispatch", v=v, backend=backend, k=k,
-                     density=round(density, 6))
+        tracer.point("dispatch", v=v, backend="sets" if arm == "mc" else arm,
+                     k=k, density=round(density, 6))
 
     if use_bits:
         # Packed extraction is charged as filtering work, same as the
@@ -299,19 +301,27 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         mat = BitMatrix.from_sets(adj) if adj is not None \
             else _induced_bitmatrix(lazy, cand, cstar, counters)
 
+    # The span opens after the bit-matrix extraction, so the arm's span
+    # covers the sub-solve's work alone, as funnel.work_mc/work_kvc do.
+    bound = cstar - 1
     work_before = counters.work
-    if use_kvc:
-        found = max_clique_via_vc(adj, lower_bound=cstar - 1,
-                                  counters=counters, budget=budget,
-                                  tracer=tracer)
-    elif use_bits:
-        solver = BitMCSubgraphSolver(counters=counters, budget=budget,
-                                     tracer=tracer)
-        found = solver.solve(mat, lower_bound=cstar - 1)
-    else:
-        solver = MCSubgraphSolver(counters=counters, budget=budget,
-                                  tracer=tracer)
-        found = solver.solve(adj, lower_bound=cstar - 1)
+    span = tracer.span(f"{arm}_subsolve", sampled=True, n=k, bound=bound) \
+        if tracer.enabled else None
+    try:
+        if use_kvc:
+            found = max_clique_via_vc(adj, lower_bound=bound,
+                                      counters=counters, budget=budget)
+        elif use_bits:
+            found = BitMCSubgraphSolver(counters=counters,
+                                        budget=budget).solve(mat, bound)
+        else:
+            found = MCSubgraphSolver(counters=counters,
+                                     budget=budget).solve(adj, bound)
+    finally:
+        if span is not None:
+            span.end()
+    if found is None and tracer.enabled:
+        tracer.prune(f"{arm}_subsolve", n=k, bound=bound)
     sub_work = counters.work - work_before
     if use_kvc:
         funnel.work_kvc += sub_work

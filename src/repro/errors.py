@@ -61,10 +61,6 @@ class InjectedFault(ReproError):
     """
 
 
-class CheckpointError(ReproError):
-    """A search checkpoint could not be written or restored."""
-
-
 class TraceError(ReproError):
     """A trace stream is malformed, truncated, or schema-incompatible.
 

@@ -25,21 +25,15 @@ therefore report different (but each internally consistent) work totals —
 see docs/performance.md for the counter semantics.
 
 The solve contract mirrors :class:`~repro.mc.branch_bound.MCSubgraphSolver`
-exactly: ``solve(mat, lower_bound, checkpointer, resume)`` returns a
-clique strictly larger than the bound or ``None`` (a proof), honors
-``WorkBudget`` ticks at every branch node, and checkpoints/resumes over
-the same descending root-index cursor.  Checkpoint cliques are stored in
-kernel-internal (relabelled) ids and are only replayable against the same
-(matrix, bound) pair — the same determinism caveat the sets backend
-documents.
+exactly: ``solve(mat, lower_bound)`` returns a clique strictly larger than
+the bound or ``None`` (a proof), and honors ``WorkBudget`` ticks at every
+branch node.
 """
 
 from __future__ import annotations
 
-from ..checkpoint import Checkpointer, SearchCheckpoint
 from ..instrument import Counters, WorkBudget
 from ..intersect.bitmatrix import BitMatrix
-from ..trace.tracer import NULL_TRACER, Tracer
 from .branch_bound import peel_order
 
 
@@ -47,41 +41,21 @@ class BitMCSubgraphSolver:
     """Bit-parallel drop-in for :class:`~repro.mc.branch_bound.MCSubgraphSolver`."""
 
     def __init__(self, counters: Counters | None = None,
-                 budget: WorkBudget | None = None,
-                 tracer: Tracer = NULL_TRACER):
+                 budget: WorkBudget | None = None):
         self.counters = counters if counters is not None else Counters()
         self.budget = budget
-        self.tracer = tracer
         self._rows: list[int] = []
         self._neg_rows: list[int] = []
         self._wpr = 0
         self._best: list[int] = []
         self._best_size = 0
 
-    def solve(self, mat: BitMatrix, lower_bound: int = 0,
-              checkpointer: Checkpointer | None = None,
-              resume: SearchCheckpoint | None = None) -> list[int] | None:
+    def solve(self, mat: BitMatrix, lower_bound: int = 0) -> list[int] | None:
         """Find a clique strictly larger than ``lower_bound`` in ``mat``.
 
         Returns local ids of ``mat`` (or ``None`` as an exactness proof),
         identical in meaning to the sets backend's return value.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._solve_impl(mat, lower_bound, checkpointer, resume)
-        span = tracer.span("bits_subsolve", sampled=True, n=mat.n,
-                           bound=lower_bound)
-        try:
-            found = self._solve_impl(mat, lower_bound, checkpointer, resume)
-        finally:
-            span.end()
-        if found is None:
-            tracer.prune("bits_subsolve", n=mat.n, bound=lower_bound)
-        return found
-
-    def _solve_impl(self, mat: BitMatrix, lower_bound: int,
-                    checkpointer: Checkpointer | None,
-                    resume: SearchCheckpoint | None) -> list[int] | None:
         n = mat.n
         if n == 0:
             return None
@@ -112,62 +86,12 @@ class BitMCSubgraphSolver:
 
         self._best = []
         self._best_size = lower_bound
-        self._run_roots((1 << n) - 1, checkpointer, resume)
+        self._expand([], (1 << n) - 1)
         return [order[i] for i in self._best] if self._best else None
 
     # -- internals ---------------------------------------------------------------
 
-    def _run_roots(self, cand: int,
-                   checkpointer: Checkpointer | None,
-                   resume: SearchCheckpoint | None) -> None:
-        """Root level of :meth:`_expand`, unrolled for checkpointing.
-
-        Identical traversal either way; with a ``checkpointer`` a snapshot
-        (``cursor`` = next root index, descending) is offered after every
-        root branch, and ``resume`` fast-forwards to its cursor.
-        """
-        counters = self.counters
-        counters.branch_nodes += 1
-        if self.budget is not None:
-            self.budget.check()
-        ordered, colors = self._color_sort(cand)
-        rows = self._rows
-        start = len(ordered) - 1
-        if resume is not None:
-            if resume.complete:
-                start = -1
-            elif resume.cursor is not None:
-                start = min(start, resume.cursor)
-            if len(resume.clique) > self._best_size:
-                self._best = list(resume.clique)
-                self._best_size = len(resume.clique)
-            # Candidates above the resume cursor were fully explored by the
-            # previous attempt; drop them exactly as the loop would have.
-            for i in range(len(ordered) - 1, start, -1):
-                cand &= ~(1 << ordered[i])
-        for i in range(start, -1, -1):
-            if colors[i] <= self._best_size:
-                break
-            v = ordered[i]
-            cand &= ~(1 << v)
-            new_cand = cand & rows[v]
-            counters.words_scanned += self._wpr
-            if new_cand:
-                self._expand([v], new_cand)
-            elif 1 > self._best_size:
-                self._best = [v]
-                self._best_size = 1
-                counters.incumbent_updates += 1
-            if checkpointer is not None:
-                checkpointer.offer(SearchCheckpoint(
-                    clique=list(self._best), work=counters.work, cursor=i - 1))
-        if checkpointer is not None:
-            checkpointer.offer(SearchCheckpoint(
-                clique=list(self._best), work=counters.work, cursor=-1,
-                complete=True), force=True)
-
-    def _color_sort(self, cand: int,
-                    kmin: int = 0) -> tuple[list[int], list[int]]:
+    def _color_sort(self, cand: int, kmin: int) -> tuple[list[int], list[int]]:
         """NUMBER-SORT on a candidate bit vector.
 
         Color classes are carved greedily: class ``c`` repeatedly takes

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import heapq
 
-from ..checkpoint import Checkpointer, SearchCheckpoint
 from ..instrument import Counters, WorkBudget
-from ..trace.tracer import NULL_TRACER, Tracer
 from .coloring import color_sort
 
 
@@ -79,109 +77,28 @@ class MCSubgraphSolver:
     """Reusable solver instance carrying counters and budget."""
 
     def __init__(self, counters: Counters | None = None,
-                 budget: WorkBudget | None = None,
-                 tracer: Tracer = NULL_TRACER):
+                 budget: WorkBudget | None = None):
         self.counters = counters if counters is not None else Counters()
         self.budget = budget
-        self.tracer = tracer
         self._adj: list[set] = []
         self._best: list[int] = []
         self._best_size = 0
 
-    def solve(self, adj: list[set], lower_bound: int = 0,
-              checkpointer: Checkpointer | None = None,
-              resume: SearchCheckpoint | None = None) -> list[int] | None:
+    def solve(self, adj: list[set], lower_bound: int = 0) -> list[int] | None:
         """Find a clique strictly larger than ``lower_bound``.
 
         Returns the largest clique found as local ids, or ``None`` when no
         clique beats the bound.  The search is exact: ``None`` proves
         ``ω(subgraph) <= lower_bound``.
-
-        ``checkpointer``/``resume`` enable the resumable root loop: after
-        each root branch a :class:`~repro.checkpoint.SearchCheckpoint` is
-        offered (``cursor`` = next root index, descending), and a resumed
-        solve skips the already-explored suffix.  Both default to ``None``,
-        which leaves the original (non-checkpointing) path untouched —
-        identical results and counters.  Checkpoints are only meaningful
-        across runs with identical ``adj`` and bound: the root order and
-        coloring are deterministic functions of those.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._solve_impl(adj, lower_bound, checkpointer, resume)
-        span = tracer.span("mc_subsolve", sampled=True, n=len(adj),
-                           bound=lower_bound)
-        try:
-            found = self._solve_impl(adj, lower_bound, checkpointer, resume)
-        finally:
-            span.end()
-        if found is None:
-            tracer.prune("mc_subsolve", n=len(adj), bound=lower_bound)
-        return found
-
-    def _solve_impl(self, adj: list[set], lower_bound: int,
-                    checkpointer: Checkpointer | None,
-                    resume: SearchCheckpoint | None) -> list[int] | None:
         if not adj:
             return None
         self._adj = adj
         self._best = []
         self._best_size = lower_bound
-        self._run(checkpointer, resume)
+        # Root candidates in degeneracy order: color_sort then refines.
+        self._expand([], _degeneracy_order_sets(adj))
         return list(self._best) if self._best else None
-
-    def _run(self, checkpointer: Checkpointer | None = None,
-             resume: SearchCheckpoint | None = None) -> None:
-        order = _degeneracy_order_sets(self._adj)
-        if checkpointer is None and resume is None:
-            # Root candidates in degeneracy order: color_sort then refines.
-            self._expand([], order)
-            return
-        self._run_roots(order, checkpointer, resume)
-
-    def _run_roots(self, order: list[int],
-                   checkpointer: Checkpointer | None,
-                   resume: SearchCheckpoint | None) -> None:
-        """Checkpoint-aware unrolling of the root level of :meth:`_expand`.
-
-        Processes the same roots in the same reverse color order, but with
-        the loop exposed so progress can be snapshotted after each root
-        branch and a retry can resume at ``resume.cursor``.
-        """
-        counters = self.counters
-        counters.branch_nodes += 1
-        if self.budget is not None:
-            self.budget.check()
-        adj = self._adj
-        ordered, colors = color_sort(adj, order, counters=counters)
-        start = len(ordered) - 1
-        if resume is not None:
-            if resume.complete:
-                start = -1
-            elif resume.cursor is not None:
-                start = min(start, resume.cursor)
-            if len(resume.clique) > self._best_size:
-                self._best = list(resume.clique)
-                self._best_size = len(resume.clique)
-        for i in range(start, -1, -1):
-            if colors[i] <= self._best_size:
-                break
-            v = ordered[i]
-            new_candidates = [u for u in ordered[:i] if u in adj[v]]
-            counters.elements_scanned += i
-            if new_candidates:
-                self._expand([v], new_candidates)
-            elif 1 > self._best_size:
-                self._best = [v]
-                self._best_size = 1
-                counters.incumbent_updates += 1
-            if checkpointer is not None:
-                checkpointer.offer(SearchCheckpoint(
-                    clique=list(self._best), work=counters.work, cursor=i - 1))
-        if checkpointer is not None:
-            checkpointer.offer(SearchCheckpoint(
-                clique=list(self._best), work=counters.work, cursor=-1,
-                complete=True), force=True)
 
     # -- internals ---------------------------------------------------------------
 

@@ -30,10 +30,10 @@ recorded as a job failure.
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass
 
-from ..checkpoint import Checkpointer, load_checkpoint, save_checkpoint
+from ..checkpoint import (Checkpointer, discard_checkpoint, load_checkpoint,
+                          save_checkpoint)
 from ..core import LazyMCConfig, lazymc
 from ..errors import InjectedFault
 from ..faults import FaultPlan
@@ -213,8 +213,7 @@ def run_job(graph: CSRGraph, algo: str, config: LazyMCConfig,
         if env is not None and env.checkpoint_path:
             # The job is done; its checkpoint must not leak into an
             # unrelated future retry.
-            with contextlib.suppress(OSError):
-                os.unlink(env.checkpoint_path)
+            discard_checkpoint(env.checkpoint_path)
         return record
     except InjectedFault:
         raise

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..graph.complement import complement_adjacency_sets
 from ..instrument import Counters, WorkBudget
-from ..trace.tracer import NULL_TRACER, Tracer
 from .branch_bound import decide_kvc
 
 
@@ -41,42 +40,19 @@ def clique_exists_via_vc(adj: list[set], size: int,
 
 
 def max_clique_via_vc(adj: list[set], lower_bound: int = 0,
-                      upper_bound: int | None = None,
                       counters: Counters | None = None,
-                      budget: WorkBudget | None = None,
-                      tracer: Tracer = NULL_TRACER) -> list[int] | None:
+                      budget: WorkBudget | None = None) -> list[int] | None:
     """Find a maximum clique strictly larger than ``lower_bound``.
 
-    Binary search over clique sizes in (lower_bound, upper_bound]; each
-    probe is a k-VC decision on the complement.  Returns ``None`` when
+    Binary search over clique sizes in (lower_bound, n]; each probe is a
+    k-VC decision on the complement.  Returns ``None`` when
     ω(subgraph) <= lower_bound (an exact negative), otherwise a maximum
     clique as local ids.
     """
-    if tracer.enabled:
-        span = tracer.span("kvc_subsolve", sampled=True, n=len(adj),
-                           bound=lower_bound)
-        try:
-            found = _max_clique_via_vc_impl(adj, lower_bound, upper_bound,
-                                            counters, budget)
-        finally:
-            span.end()
-        if found is None:
-            tracer.prune("kvc_subsolve", n=len(adj), bound=lower_bound)
-        return found
-    return _max_clique_via_vc_impl(adj, lower_bound, upper_bound, counters,
-                                   budget)
-
-
-def _max_clique_via_vc_impl(adj: list[set], lower_bound: int,
-                            upper_bound: int | None,
-                            counters: Counters | None,
-                            budget: WorkBudget | None) -> list[int] | None:
     n = len(adj)
-    if upper_bound is None or upper_bound > n:
-        upper_bound = n
     if counters is not None:
         counters.kvc_subsolves += 1
-    if lower_bound + 1 > upper_bound:
+    if lower_bound + 1 > n:
         return None
     # First probe at the minimum interesting size: most neighborhoods
     # contain no clique beating the incumbent, and the k-VC instance with
@@ -86,7 +62,7 @@ def _max_clique_via_vc_impl(adj: list[set], lower_bound: int,
         return None
     # Binary search the remaining range for the exact maximum.
     lo = len(best) + 1
-    hi = upper_bound
+    hi = n
     while lo <= hi:
         mid = (lo + hi) // 2
         clique = clique_exists_via_vc(adj, mid, counters=counters, budget=budget)

@@ -13,15 +13,15 @@ from repro.checkpoint import (
     save_checkpoint,
 )
 from repro.core import LazyMCConfig
-from repro.graph.generators import planted_clique
-from repro.mc.branch_bound import MCSubgraphSolver
+from repro.graph.generators import camouflaged_clique
+from repro.service.worker import _sink_to
 
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "search.ckpt"
         ckpt = SearchCheckpoint(clique=[3, 1, 4], work=1759, cursor=5,
-                                seed_done=True, meta={"algo": "lazymc"})
+                                seed_done=True)
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
         assert back == ckpt
@@ -80,15 +80,31 @@ class TestCheckpointer:
 
     def test_to_path_persists(self, tmp_path):
         path = tmp_path / "cp.ckpt"
-        cp = Checkpointer.to_path(path)
+        cp = Checkpointer(_sink_to(str(path)))
         cp.offer(SearchCheckpoint(clique=[7], work=42))
         assert load_checkpoint(path).clique == [7]
 
 
 @pytest.fixture(scope="module")
 def graph():
-    g, _ = planted_clique(300, 0.05, 9, seed=11)
+    # Dense enough that the sweep hands 54 neighborhoods to the
+    # sub-solvers, so a resumed run re-dispatches some of them.
+    g, _ = camouflaged_clique(80, 0.5, 10, seed=1)
     return g
+
+
+def _assert_resumes_from_every_snapshot(graph, backend):
+    config = LazyMCConfig(kernel_backend=backend)
+    base = lazymc(graph, config)
+    assert base.funnel.searched > 0
+    snaps = []
+    lazymc(graph, config, checkpointer=Checkpointer(snaps.append))
+    assert len(snaps) > 2 and snaps[-1].complete
+    for ckpt in snaps:
+        resumed = lazymc(graph, config, resume=ckpt)
+        assert resumed.omega == base.omega
+        assert resumed.clique == base.clique
+        assert resumed.counters.work >= ckpt.work
 
 
 class TestLazyMCResume:
@@ -104,14 +120,10 @@ class TestLazyMCResume:
         assert snaps[-1].work == base.counters.work
 
     def test_resume_from_every_snapshot_matches(self, graph):
-        base = lazymc(graph)
-        snaps = []
-        lazymc(graph, checkpointer=Checkpointer(snaps.append))
-        # Resume from a mid-run snapshot and from the final one.
-        for ckpt in (snaps[len(snaps) // 2], snaps[-1]):
-            resumed = lazymc(graph, resume=ckpt)
-            assert resumed.omega == base.omega
-            assert sorted(resumed.clique) == sorted(base.clique)
+        _assert_resumes_from_every_snapshot(graph, "sets")
+
+    def test_resume_from_every_snapshot_matches_bits(self, graph):
+        _assert_resumes_from_every_snapshot(graph, "bits")
 
     def test_resume_continues_work_counter(self, graph):
         base = lazymc(graph)
@@ -148,26 +160,3 @@ class TestLazyMCResume:
         assert partial.timed_out and snaps
         resumed = lazymc(graph, resume=snaps[-1])
         assert not resumed.timed_out and resumed.omega == base.omega
-
-
-class TestSubgraphSolverResume:
-    def _dense_block(self):
-        g, _ = planted_clique(60, 0.25, 7, seed=3)
-        return {v: set(g.neighbors(v)) for v in range(g.n)}
-
-    def test_root_checkpoint_resume_matches(self):
-        adj = self._dense_block()
-        base = MCSubgraphSolver().solve(adj)
-        snaps = []
-        MCSubgraphSolver().solve(adj, checkpointer=Checkpointer(snaps.append))
-        assert snaps and snaps[-1].complete
-        mid = snaps[len(snaps) // 2]
-        resumed = MCSubgraphSolver().solve(adj, resume=mid)
-        assert len(resumed) == len(base)
-
-    def test_checkpointing_does_not_change_result(self):
-        adj = self._dense_block()
-        base = MCSubgraphSolver().solve(adj)
-        checked = MCSubgraphSolver().solve(
-            adj, checkpointer=Checkpointer(lambda _: None))
-        assert len(checked) == len(base)

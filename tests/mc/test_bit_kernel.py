@@ -11,7 +11,6 @@ evolve without silently changing answers.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checkpoint import Checkpointer
 from repro.errors import BudgetExceeded
 from repro.instrument import Counters, WorkBudget
 from repro.intersect import BitMatrix
@@ -73,43 +72,6 @@ class TestBitsVsSetsEquivalence:
         found = max_clique_bits(BitMatrix.from_sets(adj), counters=counters)
         assert _is_clique(adj, found)
         assert counters.words_scanned > 0
-
-
-class TestBitsCheckpointResume:
-    def _instance(self, seed=3):
-        return _random_adj(48, 0.5, seed)
-
-    def test_checkpointing_does_not_change_result(self):
-        adj = self._instance()
-        mat = BitMatrix.from_sets(adj)
-        base = BitMCSubgraphSolver().solve(mat)
-        checked = BitMCSubgraphSolver().solve(
-            mat, checkpointer=Checkpointer(lambda _: None))
-        assert len(checked) == len(base)
-
-    @given(seed=st.integers(0, 50), frac=st.floats(0.0, 1.0))
-    @settings(max_examples=25, deadline=None)
-    def test_resume_from_any_snapshot_matches(self, seed, frac):
-        adj = _random_adj(36, 0.5, seed)
-        mat = BitMatrix.from_sets(adj)
-        base = BitMCSubgraphSolver().solve(mat)
-        snaps = []
-        BitMCSubgraphSolver().solve(mat, checkpointer=Checkpointer(snaps.append))
-        assert snaps and snaps[-1].complete
-        snap = snaps[min(int(frac * len(snaps)), len(snaps) - 1)]
-        resumed = BitMCSubgraphSolver().solve(mat, resume=snap)
-        # Checkpoint cliques are kernel-internal relabelled ids; sizes are
-        # the cross-run invariant (same contract as the sets backend).
-        assert len(resumed) == len(base)
-
-    def test_resume_from_complete_snapshot(self):
-        adj = self._instance()
-        mat = BitMatrix.from_sets(adj)
-        base = BitMCSubgraphSolver().solve(mat)
-        snaps = []
-        BitMCSubgraphSolver().solve(mat, checkpointer=Checkpointer(snaps.append))
-        resumed = BitMCSubgraphSolver().solve(mat, resume=snaps[-1])
-        assert len(resumed) == len(base)
 
 
 class TestBitsBudgetParity:

@@ -9,6 +9,7 @@ import pytest
 
 from repro import LazyMCConfig, lazymc
 from repro.datasets import load
+from repro.graph.generators import camouflaged_clique
 from repro.instrument import Counters
 from repro.trace import TraceRecorder, summarize_events, work_attribution
 
@@ -81,6 +82,26 @@ class TestLedgerInvariants:
         # later round filter 3 (advance_filter), whatever the round count.
         self.assert_trace_prunes_match_ledger(
             load("HS-CX"), LazyMCConfig(filter_rounds=rounds))
+
+
+class TestSubsolveSpans:
+    @pytest.mark.parametrize("backend, expected", [
+        pytest.param("sets", {"mc_subsolve": 6, "kvc_subsolve": 48},
+                     id="sets"),
+        pytest.param("bits", {"bits_subsolve": 54}, id="bits"),
+    ])
+    def test_one_span_per_dispatched_neighborhood(self, backend, expected):
+        graph, _ = camouflaged_clique(80, 0.5, 10, seed=1)
+        rec = TraceRecorder(sample_every=1)
+        result = lazymc(graph, LazyMCConfig(kernel_backend=backend),
+                        tracer=rec)
+        spans = summarize_events(rec.all_events())["spans"]
+        counts = {name: s["count"] for name, s in spans.items()
+                  if name.endswith("_subsolve")}
+        assert counts == expected
+        mc_arm = "bits_subsolve" if backend == "bits" else "mc_subsolve"
+        assert counts.get(mc_arm, 0) == result.funnel.searched_mc
+        assert counts.get("kvc_subsolve", 0) == result.funnel.searched_kvc
 
 
 class TestSummarizeEvents:

@@ -192,11 +192,3 @@ class TestCliqueViaVC:
         assert max_clique_via_vc(adj, lower_bound=omega) is None
         found = max_clique_via_vc(adj, lower_bound=omega - 1)
         assert found is not None and len(found) == omega
-
-    def test_upper_bound_respected(self):
-        adj = adj_of(complete_graph(6))
-        clique = max_clique_via_vc(adj, lower_bound=2, upper_bound=4)
-        # The probe may overshoot the cap only via a smaller-than-k cover;
-        # result must still be a clique larger than the lower bound.
-        assert clique is not None
-        assert len(clique) >= 3
