@@ -3,7 +3,10 @@
 Turns an :class:`~repro.core.solver.MCResult` into the narratives the paper
 builds its motivation on: how much of the graph was never touched, how the
 incumbent grew relative to work spent, and where the operations went.
-Everything is plain text / plain data — no plotting dependencies.
+:func:`solve_record` is the one record of a solve, shared by ``solve
+--json``, the service's :class:`~repro.service.jobs.JobResult` and its
+wire replies.  Everything is plain text / plain data — no plotting
+dependencies.
 """
 
 from __future__ import annotations
@@ -150,34 +153,37 @@ def format_report(graph: CSRGraph, result: MCResult) -> str:
     return "\n".join(lines)
 
 
-def to_dict(graph: CSRGraph, result: MCResult) -> dict:
-    """JSON-serializable record of one solve (bench export format)."""
-    war = work_avoidance_report(graph, result)
+def solve_record(algo: str, graph: CSRGraph, result) -> dict:
+    """The record of one solve: every :class:`~repro.service.jobs.JobResult`
+    field a solver fills.
+
+    ``result`` is an :class:`~repro.core.solver.MCResult` or a baseline's
+    :class:`~repro.baselines.common.BaselineResult`.  A baseline has no
+    Alg. 1 phases, funnel, engine or heuristics, so those keys hold zeros
+    or empty containers of the same shape: downstream tooling can rely on
+    every key.  The record is plain JSON data (``incumbent_growth`` steps
+    are ``[work, size]`` lists), so it survives the wire unchanged.
+    """
+    lazy = isinstance(result, MCResult)
     return {
+        "algo": algo,
         "n": graph.n,
         "m": graph.m,
         "omega": result.omega,
-        "clique": result.clique,
-        "degeneracy": result.degeneracy,
-        "gap": result.gap,
-        "heuristic_degree": result.heuristic_degree_size,
-        "heuristic_coreness": result.heuristic_coreness_size,
-        "timed_out": result.timed_out,
+        "clique": [int(v) for v in result.clique],
         "wall_seconds": result.wall_seconds,
+        "timed_out": result.timed_out,
+        "exact": not result.timed_out,
         "work": result.counters.work,
         "counters": result.counters.as_dict(),
-        "funnel": funnel_section(result.funnel, graph.n),
-        "phases_seconds": dict(result.timers.seconds),
-        "phases_work": dict(result.timers.work),
-        "schedule": {
-            "makespan": result.schedule.makespan,
-            "total_work": result.schedule.total_work,
-        },
+        "degeneracy": result.degeneracy if lazy else 0,
+        "gap": result.gap if lazy else 0,
+        "heuristic_degree": result.heuristic_degree_size if lazy else 0,
+        "heuristic_coreness": result.heuristic_coreness_size if lazy else 0,
+        "phases_seconds": dict(result.timers.seconds) if lazy else {},
+        "phases_work": dict(result.timers.work) if lazy else {},
+        "funnel": funnel_section(result.funnel if lazy else None, graph.n),
         "engine": engine_section(result.engine),
-        "zone_of_interest": {
-            "may_vertex_fraction": war.may_vertex_fraction,
-            "must_vertex_fraction": war.must_vertex_fraction,
-            "built_fraction": war.built_fraction,
-        },
-        "incumbent_growth": incumbent_growth(result),
+        "incumbent_growth":
+            [[t, size] for t, size in incumbent_growth(result)] if lazy else [],
     }

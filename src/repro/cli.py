@@ -56,7 +56,7 @@ KNOB_FLAGS = {
     "--engine": ("engine", {
         "choices": ENGINE_NAMES,
         "help": "execution engine: deterministic simulated scheduler "
-                "(default), zero-simulation sequential fast path, or real "
+                "(default), the simulation at --threads 1, or real "
                 "multiprocessing (lazymc and pmc)"}),
     "--processes": ("processes", {
         "type": int, "help": "worker processes for --engine process "
@@ -91,109 +91,72 @@ def _load_graph(target: str) -> CSRGraph:
         raise SystemExit(str(exc))
 
 
-def _cmd_solve(args) -> int:
-    config = _solver_config(args)
-    graph = _load_graph(args.target)
-    if getattr(args, "faults", None):
-        return _solve_with_faults(args, graph, config)
-    if args.trace and args.algo != "lazymc":
-        raise SystemExit("--trace supports --algo lazymc only")
-    if args.algo == "lazymc":
-        from . import lazymc
-
-        tracer = None
-        if args.trace:
-            from .trace import TraceRecorder
-
-            tracer = TraceRecorder(sample_every=args.trace_sample)
-            tracer.set_meta(target=args.target, algo=args.algo,
-                            threads=config.threads,
-                            kernel=config.kernel_backend)
-        result = lazymc(graph, config, tracer=tracer)
-        if tracer is not None:
-            tracer.write(args.trace)
-            print(f"trace: {args.trace} ({len(tracer.events)} events, "
-                  f"{tracer.dropped} dropped)", file=sys.stderr)
-        if args.json:
-            import json
-
-            from .analysis import to_dict
-
-            record = {"algo": args.algo, **to_dict(graph, result)}
-            print(json.dumps(record, indent=2))
-        else:
-            print(f"omega      = {result.omega}")
-            print(f"clique     = {result.clique}")
-            print(f"degeneracy = {result.degeneracy}  gap = {result.gap}")
-            print(f"heuristics = degree {result.heuristic_degree_size}, "
-                  f"coreness {result.heuristic_coreness_size}")
-            print(f"work       = {result.counters.work}  "
-                  f"wall = {result.wall_seconds:.3f}s  timed_out = {result.timed_out}")
-    else:
-        from .service.worker import solve_graph
-
-        record = solve_graph(graph, args.algo, config)
-        if args.json:
-            import json
-
-            print(json.dumps(record, indent=2))
-        else:
-            print(f"omega  = {record['omega']}")
-            print(f"clique = {record['clique']}")
-            print(f"wall   = {record['wall_seconds']:.3f}s  "
-                  f"timed_out = {record['timed_out']}")
-        result = None
-    if args.verify:
-        if result is not None:
-            valid = result.verify(graph)
-        else:
-            valid = (len(record["clique"]) == record["omega"]
-                     and graph.is_clique(record["clique"]))
-        print(f"verify = {'ok' if valid else 'FAILED'}", file=sys.stderr)
-        if not valid:
-            return 1
-    return 0
-
-
-def _solve_with_faults(args, graph: CSRGraph, config: LazyMCConfig) -> int:
-    """``solve --faults SPEC``: one run under a seeded fault plan.
-
-    The reproduction path for service incidents: the same spec and seed
-    re-create the same crash/hang/drop, inline, without a pool.  Crashes
-    surface as structured errors (the CLI process itself survives).
-    """
+def _print_record(record: dict, as_json: bool) -> int:
+    """Print one solve record (``solve`` and ``query``); returns the exit
+    code: 0 when the solve ran, 1 when it failed."""
     import json
 
+    if as_json:
+        print(json.dumps(record, indent=2))
+    elif record.get("ok"):
+        print(f"omega      = {record['omega']}  exact = {record['exact']}")
+        print(f"clique     = {record['clique']}")
+        if record["algo"] == "lazymc":
+            print(f"degeneracy = {record['degeneracy']}  gap = {record['gap']}")
+            print(f"heuristics = degree {record['heuristic_degree']}, "
+                  f"coreness {record['heuristic_coreness']}")
+        print(f"work       = {record['work']}  "
+              f"wall = {record['wall_seconds']:.3f}s  "
+              f"timed_out = {record['timed_out']}")
+        if "cached" in record:
+            print(f"cached     = {record['cached']}")
+        if record.get("trace_path"):
+            print(f"trace      = {record['trace_path']}")
+    else:
+        print(f"error      = {record.get('error_type')}: {record.get('error')}")
+    return 0 if record.get("ok") else 1
+
+
+def _cmd_solve(args) -> int:
+    """``solve``: one inline run of the service's job path.
+
+    ``--faults`` arms a seeded fault plan, the reproduction path for
+    service incidents: the same spec and seed re-create the same
+    crash/hang/drop, inline, without a pool.  A failed solve is an
+    ``ok: false`` record and exit code 1, never a traceback.
+    """
     from .errors import InjectedFault
     from .faults import FaultPlan
     from .service.worker import JobEnv, run_job
 
+    config = _solver_config(args)
     if args.trace and args.algo != "lazymc":
         raise SystemExit("--trace supports --algo lazymc only")
-    plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-    env = JobEnv(fault_plan=plan.for_job("cli", 0),
-                 trace_path=args.trace or None,
-                 trace_sample=args.trace_sample)
+    plan = None
+    if args.faults:
+        try:
+            plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
+        except ValueError as exc:
+            raise SystemExit(f"lazymc: {exc}") from exc
+    graph = _load_graph(args.target)
+    env = JobEnv(fault_plan=plan.for_job("cli", 0) if plan else None,
+                 trace_path=args.trace, trace_sample=args.trace_sample)
     try:
         record = run_job(graph, args.algo, config, env)
     except InjectedFault as exc:
         record = {"ok": False, "error_type": "InjectedFault", "error": str(exc)}
-    if args.json:
-        print(json.dumps(record, indent=2))
-    elif record.get("ok"):
-        print(f"omega  = {record['omega']}")
-        print(f"clique = {record['clique']}")
-        print(f"wall   = {record['wall_seconds']:.3f}s  "
-              f"timed_out = {record['timed_out']}")
-    else:
-        print(f"error  = {record.get('error_type')}: {record.get('error')}")
+    summary = record.get("trace_summary")
+    if summary is not None:
+        print(f"trace: {args.trace} ({summary['events']} events, "
+              f"{summary['dropped']} dropped)", file=sys.stderr)
+    code = _print_record(record, args.json)
     if args.verify and record.get("ok"):
         valid = (len(record["clique"]) == record["omega"]
                  and graph.is_clique(record["clique"]))
         print(f"verify = {'ok' if valid else 'FAILED'}", file=sys.stderr)
         if not valid:
             return 1
-    return 0 if record.get("ok") else 1
+    return code
 
 
 def _cmd_serve(args) -> int:
@@ -280,19 +243,7 @@ def _cmd_query(args) -> int:
         # a mid-request restart): a clean, retryable error — not a
         # traceback — because the client owns the retry.
         raise SystemExit(f"query failed: {exc} (retry the request)") from exc
-    if args.json:
-        print(json.dumps(response, indent=2))
-    elif response.get("ok"):
-        print(f"omega  = {response['omega']}  exact = {response['exact']}  "
-              f"cached = {response['cached']}")
-        print(f"clique = {response['clique']}")
-        print(f"wall   = {response['wall_seconds']:.3f}s  "
-              f"work = {response['work']}")
-        if response.get("trace_path"):
-            print(f"trace  = {response['trace_path']} (server-side)")
-    else:
-        print(f"error  = {response.get('error_type')}: {response.get('error')}")
-    return 0 if response.get("ok") else 1
+    return _print_record(response, args.json)
 
 
 def _cmd_trace(args) -> int:

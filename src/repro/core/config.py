@@ -81,7 +81,7 @@ class LazyMCConfig:
     threads: int = 1
     # Execution engine (repro.parallel.engine): "sim" is the deterministic
     # virtual-time simulation (the default; golden-counter pinned), "seq"
-    # the zero-simulation sequential fast path, "process" a real
+    # the same simulation at threads=1, "process" a real
     # multiprocessing pool over the systematic search's per-level task
     # batches.  ``processes`` sizes the pool; 0 means auto (CPU count,
     # floored at 2 so cross-worker incumbent sharing exists).

@@ -114,21 +114,28 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
         if c >= 0 and c not in first_at_level:
             first_at_level[c] = v
     levels = [k for k in range(degeneracy, 0, -1) if k in first_at_level]
+    main_counters = lazy.counters
 
     def run(level: int, view: IncumbentView, counters: Counters) -> None:
-        v = first_at_level[level]
-        cand = lazy.right_neighborhood(v, view.size)
-        clique = [v]
-        buf = np.empty(len(cand), dtype=np.int64)
-        while len(cand):
-            u = int(cand[-1])  # highest-numbered = highest coreness
-            theta = view.size - (len(clique) + 1)
-            rep = lazy.membership_set(u, view.size)
-            size = intersect_gt(cand, rep, buf, theta, counters, config.early_exit)
-            clique.append(u)
-            if size < 0:
-                break  # cannot beat the incumbent through this seed
-            cand = buf[:size].copy()
+        # The lazy-graph builds this seed causes are its work.
+        lazy.counters = counters
+        try:
+            v = first_at_level[level]
+            cand = lazy.right_neighborhood(v, view.size)
+            clique = [v]
+            buf = np.empty(len(cand), dtype=np.int64)
+            while len(cand):
+                u = int(cand[-1])  # highest-numbered = highest coreness
+                theta = view.size - (len(clique) + 1)
+                rep = lazy.membership_set(u, view.size)
+                size = intersect_gt(cand, rep, buf, theta, counters,
+                                    config.early_exit)
+                clique.append(u)
+                if size < 0:
+                    break  # cannot beat the incumbent through this seed
+                cand = buf[:size].copy()
+        finally:
+            lazy.counters = main_counters
         view.offer(lazy.to_original(clique))
 
     engine.parfor(levels, run, incumbent)

@@ -19,7 +19,9 @@ The result is exact: the returned clique is a maximum clique of the input.
 
 from __future__ import annotations
 
+import functools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,15 @@ from .filtering import FilterFunnel
 from .heuristics import coreness_based_heuristic_search, degree_based_heuristic_search
 from .lazygraph import LazyGraph
 from .systematic import systematic_search
+
+
+@contextmanager
+def _phase(timers: PhaseTimers, counters: Counters, tracer: Tracer,
+           name: str):
+    """One Alg. 1 phase: its :class:`~repro.instrument.PhaseTimers` entry
+    and its ``phase:<name>`` trace span, opened and closed together."""
+    with PhaseTimer(timers, name, counters), tracer.span(f"phase:{name}"):
+        yield
 
 
 @dataclass
@@ -101,6 +112,7 @@ class LazyMC:
                             fault_hook=fault_hook)
         tracer = tracer if tracer is not None else NULL_TRACER
         tracer.bind(counters)
+        phase = functools.partial(_phase, timers, counters, tracer)
         t0 = time.perf_counter()
 
         if graph.n == 0:
@@ -114,15 +126,13 @@ class LazyMC:
         degeneracy = 0
         w_d = w_h = 1
         try:
-            with PhaseTimer(timers, "heuristic_degree", counters), \
-                    tracer.span("phase:heuristic_degree"):
+            with phase("heuristic_degree"):
                 degree_based_heuristic_search(graph, incumbent, cfg, engine)
             w_d = incumbent.size
             if tracer.enabled and w_d > 1:
                 tracer.incumbent(w_d, source="heuristic_degree")
 
-            with PhaseTimer(timers, "kcore", counters), \
-                    tracer.span("phase:kcore"):
+            with phase("kcore"):
                 core = coreness_degree_filtered(graph, incumbent.size)
                 # The decomposition examines every vertex and edge once;
                 # charge it honestly (the baselines' peels are charged the
@@ -138,8 +148,7 @@ class LazyMC:
             # (d+1)-clique, so d = |C*| - 1 dominates.
             degeneracy = max(int(core.max()), incumbent.size - 1)
 
-            with PhaseTimer(timers, "sort", counters), \
-                    tracer.span("phase:sort"):
+            with phase("sort"):
                 order = coreness_degree_order(graph, core)
                 # Two stable counting-sort passes over the vertex array.
                 counters.elements_scanned += 2 * graph.n
@@ -148,12 +157,10 @@ class LazyMC:
 
             lazy = LazyGraph(graph, order, core, cfg, counters)
 
-            with PhaseTimer(timers, "prepopulate", counters), \
-                    tracer.span("phase:prepopulate"):
+            with phase("prepopulate"):
                 lazy.prepopulate(cfg.prepopulate, incumbent.size)
 
-            with PhaseTimer(timers, "heuristic_coreness", counters), \
-                    tracer.span("phase:heuristic_coreness"):
+            with phase("heuristic_coreness"):
                 coreness_based_heuristic_search(lazy, incumbent, cfg, engine)
             w_h = incumbent.size
             if tracer.enabled and w_h > w_d:
@@ -167,8 +174,7 @@ class LazyMC:
                 # interval plus the (cheap, deterministic) prefix phases.
                 counters.elements_scanned += resume.work - counters.work
 
-            with PhaseTimer(timers, "systematic", counters), \
-                    tracer.span("phase:systematic"):
+            with phase("systematic"):
                 systematic_search(lazy, incumbent, cfg, engine, funnel,
                                   budget, checkpointer=checkpointer,
                                   resume=resume, tracer=tracer)

@@ -116,17 +116,26 @@ def systematic_search(lazy: LazyGraph, incumbent: Incumbent,
         levels.setdefault(c, []).append(v)
         first_at_level.setdefault(c, v)
 
+    main_counters = lazy.counters
+
     def task(v: int, view: IncumbentView, counters: Counters) -> None:
         # Re-check eligibility against the task's visible incumbent: the
         # incumbent may have grown since the level was scheduled.
         if core[v] < view.size:
             return
-        if not tracer.enabled:
-            neighbor_search(lazy, v, view, config, counters, funnel, budget)
-            return
-        with tracer.task_clock(counters):
-            neighbor_search(lazy, v, view, config, counters, funnel, budget,
-                            tracer=tracer)
+        # Lazy-graph builds the task causes are the task's work, as in
+        # the process worker: they count in its cost and its funnel.
+        lazy.counters = counters
+        try:
+            if not tracer.enabled:
+                neighbor_search(lazy, v, view, config, counters, funnel,
+                                budget)
+                return
+            with tracer.task_clock(counters):
+                neighbor_search(lazy, v, view, config, counters, funnel,
+                                budget, tracer=tracer)
+        finally:
+            lazy.counters = main_counters
 
     body = EngineBody(inline=task, worker=_systematic_worker,
                       merge=funnel.merge)

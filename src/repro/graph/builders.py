@@ -35,12 +35,33 @@ def _csr_from_directed(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
     return CSRGraph(indptr, dst.astype(VERTEX_DTYPE), validate=False)
 
 
+#: Vertex ids are stored as ``VERTEX_DTYPE``: a graph has at most this
+#: many vertices.
+MAX_VERTICES = int(np.iinfo(VERTEX_DTYPE).max) + 1
+
+
+def check_vertex_count(n: int) -> int:
+    """Return ``n``, or raise when no graph can have ``n`` vertices.
+
+    Loaders call this with the vertex count a file or request implies,
+    before anything sized by it is allocated or converted to numpy: an
+    absurd id must be a typed error, not an out-of-memory crash.
+    """
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphConstructionError(
+            f"{n} vertices is outside the supported range [0, {MAX_VERTICES}]"
+            f" (vertex ids are {np.dtype(VERTEX_DTYPE).name})")
+    return n
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> CSRGraph:
     """Build a graph on vertices ``0..n-1`` from an edge iterable.
 
     Self-loops are dropped; duplicate and reversed duplicates collapse to a
-    single undirected edge.  Raises on out-of-range endpoints.
+    single undirected edge.  Raises on an out-of-range ``n`` (see
+    :func:`check_vertex_count`) or out-of-range endpoints.
     """
+    check_vertex_count(n)
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                      dtype=np.int64)
     if arr.size == 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GraphFormatError
-from .builders import from_edges
+from .builders import check_vertex_count, from_edges
 from .csr import CSRGraph
 
 
@@ -55,13 +55,12 @@ def read_edge_list(path: str | Path, *, comment: str = "#",
         return from_edges(0, [])
     if zero_indexed is None:
         zero_indexed = (min_id == 0)
-    arr = np.asarray(edges, dtype=np.int64)
-    if not zero_indexed:
-        arr -= 1
-        max_id -= 1
-    if arr.min() < 0:
+    shift = 0 if zero_indexed else 1
+    if min_id - shift < 0:
         raise GraphFormatError("negative vertex id after index adjustment")
-    return from_edges(max_id + 1, arr)
+    n = check_vertex_count(max_id + 1 - shift)
+    arr = np.asarray(edges, dtype=np.int64) - shift
+    return from_edges(n, arr)
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
@@ -88,12 +87,18 @@ def read_dimacs(path: str | Path) -> CSRGraph:
                 parts = line.split()
                 if len(parts) < 4:
                     raise GraphFormatError(f"line {lineno}: malformed problem line")
-                n = int(parts[2])
+                n = check_vertex_count(int(parts[2]))
             elif line.startswith("e"):
                 parts = line.split()
                 if n is None:
                     raise GraphFormatError("edge line before problem line")
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+                if len(parts) < 3:
+                    raise GraphFormatError(f"line {lineno}: malformed edge line")
+                u, v = int(parts[1]), int(parts[2])
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise GraphFormatError(
+                        f"line {lineno}: vertex id out of range [1, {n}]")
+                edges.append((u - 1, v - 1))
     if n is None:
         raise GraphFormatError("missing DIMACS problem line")
     return from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
@@ -110,22 +115,25 @@ def write_dimacs(graph: CSRGraph, path: str | Path) -> None:
 def read_metis(path: str | Path) -> CSRGraph:
     """Read a METIS adjacency file (1-based; header ``n m [fmt]``)."""
     with _open_text(path) as fh:
-        header = None
+        n = None
         adjacency = []
         for line in fh:
             line = line.strip()
             if line.startswith("%"):
                 continue
-            if header is None:
+            if n is None:
                 if not line:
                     continue  # leading blank lines
-                header = line.split()
+                n = check_vertex_count(int(line.split()[0]))
                 continue
             # After the header a blank line is a vertex with no neighbors.
-            adjacency.append([int(x) - 1 for x in line.split()])
-    if header is None:
+            row = [int(x) - 1 for x in line.split()]
+            if row and (min(row) < 0 or max(row) >= n):
+                raise GraphFormatError(
+                    f"row {len(adjacency) + 1}: vertex id out of range [1, {n}]")
+            adjacency.append(row)
+    if n is None:
         raise GraphFormatError("missing METIS header")
-    n = int(header[0])
     if len(adjacency) != n:
         raise GraphFormatError(f"expected {n} adjacency rows, got {len(adjacency)}")
     from .builders import from_adjacency

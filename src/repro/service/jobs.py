@@ -119,39 +119,54 @@ class JobState(enum.Enum):
 
 @dataclass
 class JobResult:
-    """Uniform outcome of one job.
+    """Uniform outcome of one job; its fields are the solve record's schema.
 
     ``ok`` distinguishes "the solver ran" from "the request failed"
     (unloadable graph, full queue, worker crash).  A budget-bound run is
     *not* a failure: it has ``ok=True``, ``exact=False`` and carries the
     best incumbent found — the service's graceful-degradation contract.
 
+    The solver fills the fields from ``algo`` to ``incumbent_growth``
+    (:func:`repro.analysis.solve_record`, which ``lazymc solve --json``
+    prints too): ``counters`` is the full :class:`~repro.instrument.Counters`
+    dict, ``phases_seconds``/``phases_work`` the Alg. 1 phase account,
+    ``funnel`` the per-stage filter funnel and ``engine`` the execution
+    engine summary.  A baseline has no phases, funnel, engine or
+    heuristics; those fields are zeroed or empty.
+
     ``attempts`` and ``resumed`` are the fault-tolerance trail: how many
     times the supervised pool ran the job, and whether the final attempt
     continued from a checkpoint a previous attempt left behind.
-
-    ``funnel`` is the per-stage filter-funnel section (zeroed for
-    baselines); ``trace_id``/``trace_path``/``trace_summary`` are set
-    only on results that actually produced a trace — cached copies of a
-    result drop them, since a cache hit performed no traced run.
+    ``cached`` and ``fingerprint`` are the service's.
+    ``trace_id``/``trace_path``/``trace_summary`` are set only on results
+    that actually produced a trace — cached copies of a result drop them,
+    since a cache hit performed no traced run.
     """
 
     ok: bool
     algo: str = ""
-    omega: int = 0
-    clique: list[int] = field(default_factory=list)
-    exact: bool = False
-    timed_out: bool = False
-    wall_seconds: float = 0.0
-    work: int = 0
     n: int = 0
     m: int = 0
-    cached: bool = False
-    fingerprint: str = ""
-    attempts: int = 1
-    resumed: bool = False
+    omega: int = 0
+    clique: list[int] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    timed_out: bool = False
+    exact: bool = False
+    work: int = 0
+    counters: dict = field(default_factory=dict)
+    degeneracy: int = 0
+    gap: int = 0
+    heuristic_degree: int = 0
+    heuristic_coreness: int = 0
+    phases_seconds: dict = field(default_factory=dict)
+    phases_work: dict = field(default_factory=dict)
     funnel: dict | None = None
     engine: dict | None = None
+    incumbent_growth: list = field(default_factory=list)
+    attempts: int = 1
+    resumed: bool = False
+    cached: bool = False
+    fingerprint: str = ""
     trace_id: str | None = None
     trace_path: str | None = None
     trace_summary: dict | None = None

@@ -82,7 +82,18 @@ def validate_request(message: dict) -> dict:
             raise ProtocolError("solve needs exactly one of target/edges")
         if not isinstance(message.get("use_cache", True), bool):
             raise ProtocolError("use_cache must be true or false")
+        if has_edges and not _is_edge_list(message["edges"]):
+            raise ProtocolError("edges must be a list of [u, v] pairs of "
+                                "non-negative integer vertex ids")
     return message
+
+
+def _is_edge_list(edges) -> bool:
+    # ``type(...) is int``: JSON true/false decode to bool, an int
+    # subclass, and must not pass as the ids 1/0.
+    return isinstance(edges, list) and all(
+        isinstance(e, list) and len(e) == 2
+        and all(type(x) is int and x >= 0 for x in e) for e in edges)
 
 
 def connect(socket_path: str | Path | None = None,

@@ -32,8 +32,10 @@ def _spec_from_message(message: dict) -> JobSpec:
     if message.get("edges") is not None:
         from ..graph import from_edges
 
-        edges = [(int(u), int(v)) for u, v in message["edges"]]
-        n = max((max(u, v) for u, v in edges), default=-1) + 1
+        # validate_request admitted only non-negative int ids; from_edges
+        # rejects a vertex count past the CSR id range before allocating.
+        edges = message["edges"]
+        n = max((max(e) for e in edges), default=-1) + 1
         graph = from_edges(n, edges)
     return JobSpec(
         target=message.get("target"),

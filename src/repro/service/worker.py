@@ -5,7 +5,9 @@ process-based pool).  A worker receives a fully resolved graph — the
 service resolves targets in the front process so it can fingerprint for
 the cache — runs the requested solver under its budgets, and returns a
 plain dict; the service layer turns that into a
-:class:`~repro.service.jobs.JobResult`.
+:class:`~repro.service.jobs.JobResult`.  ``lazymc solve`` runs the same
+:func:`run_job` inline, so a CLI solve and a service job produce the same
+record.
 
 Degradation contract: every solver in this package already converts a
 tripped :class:`~repro.instrument.WorkBudget` into a best-effort result
@@ -49,11 +51,12 @@ class JobEnv:
     makes resume work); ``attempt`` is 0 for the first run.
 
     ``trace_path`` arms per-job search-tree tracing (:mod:`repro.trace`,
-    ``lazymc`` only): the event stream is flushed atomically to this path
-    on every checkpoint and once more when the solve finishes, so a
-    crashed attempt still leaves a valid (``complete: false``) trace on
-    disk.  ``trace_sample`` is the recorder's deterministic sampling
-    stride over per-neighborhood events.
+    ``lazymc`` only): the event stream is written atomically to this
+    path when the solve finishes or fails, and, when the job also has a
+    ``checkpoint_path``, on every checkpoint — so a killed attempt still
+    leaves a valid (``complete: false``) trace on disk.  ``trace_sample``
+    is the recorder's deterministic sampling stride over per-neighborhood
+    events.
     """
 
     fault_plan: FaultPlan | None = None
@@ -67,23 +70,22 @@ class JobEnv:
 def solve_graph(graph: CSRGraph, algo: str = "lazymc",
                 config: LazyMCConfig | None = None,
                 env: JobEnv | None = None) -> dict:
-    """Run ``algo`` on ``graph`` and return a uniform record.
+    """Run ``algo`` on ``graph`` and return its record.
 
-    The record always carries ``algo``, ``omega``, ``clique``,
-    ``wall_seconds``, ``timed_out``, ``exact``, ``work``, a ``funnel``
-    section (zeroed for baselines, which have no filter funnel) and an
-    ``engine`` section (zeroed for solvers that never touch the engine
-    layer) regardless of algorithm (the CLI's ``solve --json`` shares
-    this contract), plus ``resumed`` when a checkpointed attempt
-    continued a previous one.  ``config`` (default: ``LazyMCConfig()``)
-    is the whole solver configuration for ``lazymc``; the baselines read
-    only its budgets, and ``pmc`` also its ``threads``, ``engine`` and
-    ``processes``.  Checkpoint/resume, ``solve``-site faults and tracing
-    are wired for ``lazymc`` only — the baselines manage their own
-    budgets and solvers.  Inside a daemonic pool worker the process
-    engine cannot spawn children and records a serial fallback instead
-    of failing.
+    The record is :func:`repro.analysis.solve_record` (the same keys for
+    every algorithm, zeroed where a baseline has no equivalent) plus
+    ``resumed``, set when a checkpointed attempt continued a previous
+    one, and ``trace_path``/``trace_summary`` on a traced run.
+    ``config`` (default: ``LazyMCConfig()``) is the whole solver
+    configuration for ``lazymc``; the baselines read only its budgets,
+    and ``pmc`` also its ``threads``, ``engine`` and ``processes``.
+    Checkpoint/resume, ``solve``-site faults and tracing are wired for
+    ``lazymc`` only — the baselines manage their own budgets and
+    solvers.  Inside a daemonic pool worker the process engine cannot
+    spawn children and records a serial fallback instead of failing.
     """
+    from ..analysis import solve_record
+
     config = config if config is not None else LazyMCConfig()
     resumed = False
     tracer = None
@@ -91,7 +93,6 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc",
         checkpointer = None
         resume = None
         fault_hook = None
-        sink = None
         if env is not None and env.trace_path:
             from ..trace import TraceRecorder
 
@@ -105,18 +106,14 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc",
                 resume = load_checkpoint(env.checkpoint_path)
                 resumed = resume is not None
                 sink = _sink_to(env.checkpoint_path)
+                if tracer is not None:
+                    # Crash survival: the trace on disk is always valid
+                    # and at most one checkpoint interval stale.
+                    sink = _flushing_sink(sink, tracer, env.trace_path)
+                checkpointer = Checkpointer(
+                    sink, interval_work=env.checkpoint_interval_work)
             if env.fault_plan is not None and env.fault_plan.has_site("solve"):
                 fault_hook = env.fault_plan.on_budget_tick
-        if tracer is not None:
-            # Flush the trace whenever a checkpoint lands (crash
-            # survival: the stream on disk is always valid and at most
-            # one checkpoint interval stale).  Without a checkpoint
-            # path the trace still rides the checkpoint cadence — the
-            # sink is then the flush alone.
-            sink = _flushing_sink(sink, tracer, env.trace_path)
-        if sink is not None:
-            checkpointer = Checkpointer(
-                sink, interval_work=env.checkpoint_interval_work)
         try:
             result = lazymc(graph, config, checkpointer=checkpointer,
                             resume=resume, fault_hook=fault_hook,
@@ -141,22 +138,8 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc",
             result = mcbrb(graph, **budgets)
         else:
             raise ValueError(f"unknown algo {algo!r}")
-    from ..analysis import engine_section, funnel_section
-
-    record = {
-        "algo": algo,
-        "n": graph.n,
-        "m": graph.m,
-        "omega": result.omega,
-        "clique": [int(v) for v in result.clique],
-        "wall_seconds": result.wall_seconds,
-        "timed_out": result.timed_out,
-        "exact": not result.timed_out,
-        "work": result.counters.work,
-        "resumed": resumed,
-        "funnel": funnel_section(getattr(result, "funnel", None), graph.n),
-        "engine": engine_section(getattr(result, "engine", None)),
-    }
+    record = solve_record(algo, graph, result)
+    record["resumed"] = resumed
     if tracer is not None:
         from ..trace import summarize_events
 
@@ -174,7 +157,7 @@ def _sink_to(path: str):
 
 
 def _flushing_sink(inner, tracer, trace_path: str):
-    """Chain a trace flush behind a checkpoint sink (or stand alone).
+    """Chain a trace flush behind a checkpoint sink.
 
     The checkpoint write happens first so the durable pair (checkpoint,
     trace) on disk is never *ahead* of the trace stream; the flush is
@@ -182,8 +165,7 @@ def _flushing_sink(inner, tracer, trace_path: str):
     valid stream.
     """
     def sink(checkpoint):
-        if inner is not None:
-            inner(checkpoint)
+        inner(checkpoint)
         with contextlib.suppress(OSError):
             tracer.write(trace_path)
     return sink

@@ -1,10 +1,11 @@
-"""repro.trace — deterministic search-tree tracing and work attribution.
+"""repro.trace — deterministic search-tree tracing.
 
 The observability layer over the solver and the service: span/event
 tracing on a virtual clock measured in counted work units (bit-reproducible
-across machines), exporters to Chrome trace-event JSON and collapsed-stack
-flamegraphs, and the :class:`WorkAttribution` ledger decomposing spent and
-avoided work per technique.  See docs/observability.md.
+across machines), and exporters to Chrome trace-event JSON,
+collapsed-stack flamegraphs and a JSON summary.  Where the work went, per
+phase and per filter stage, is on the solve's own record
+(``MCResult.timers`` and ``MCResult.funnel``).  See docs/observability.md.
 
 Quickstart::
 
@@ -16,7 +17,6 @@ Quickstart::
     recorder.write("solve.trace.jsonl")
 """
 
-from .attribution import WorkAttribution, summarize_events, work_attribution
 from .events import (
     SCHEMA_VERSION,
     TECHNIQUES,
@@ -25,15 +25,19 @@ from .events import (
     validate_event,
     validate_events,
 )
-from .export import to_chrome, to_collapsed, write_chrome, write_collapsed
+from .export import (
+    summarize_events,
+    to_chrome,
+    to_collapsed,
+    write_chrome,
+    write_collapsed,
+)
 from .tracer import NULL_TRACER, TraceRecorder, Tracer
 
 __all__ = [
     "Tracer",
     "TraceRecorder",
     "NULL_TRACER",
-    "WorkAttribution",
-    "work_attribution",
     "summarize_events",
     "SCHEMA_VERSION",
     "TECHNIQUES",

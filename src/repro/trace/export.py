@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome trace-event JSON and collapsed-stack flamegraphs.
+"""Trace exporters: Chrome trace-event JSON, collapsed-stack flamegraphs
+and a JSON summary.
 
 Both exporters key on the **virtual clock** (work units), never wall time,
 so exported artifacts are as reproducible as the trace itself:
@@ -65,6 +66,45 @@ def spans_of(events: list[dict]) -> list[dict]:
     for rec in open_spans.values():
         rec["end"] = final_vt
     return spans
+
+
+def summarize_events(events: list[dict]) -> dict:
+    """Aggregate a decoded event stream into a compact summary dict.
+
+    Returns ``{"events", "dropped", "complete", "final_vt", "spans",
+    "prunes", "incumbent"}`` where ``spans`` maps span name to
+    ``{"count", "work"}`` (work = sum of span durations in work units),
+    ``prunes`` maps technique to its event count, and ``incumbent`` is the
+    ``(vt, size)`` growth staircase.  ``lazymc trace summarize`` prints it
+    and a traced service job carries it as ``trace_summary``.
+    """
+    footer = events[-1] if events and events[-1].get("ev") == "trace_end" \
+        else {}
+    spans: dict[str, dict] = {}
+    for rec in spans_of(events):
+        agg = spans.setdefault(rec["name"], {"count": 0, "work": 0})
+        agg["count"] += 1
+        agg["work"] += max(rec["end"] - rec["begin"], 0)
+    prunes: dict[str, int] = {}
+    incumbent: list[tuple[int, int]] = []
+    best = 0
+    for e in events:
+        if e.get("ev") == "prune":
+            prunes[e["technique"]] = prunes.get(e["technique"], 0) + 1
+        elif e.get("ev") == "incumbent" and e["size"] > best:
+            best = e["size"]
+            incumbent.append((e["vt"], e["size"]))
+    n_body = sum(1 for e in events
+                 if e.get("ev") not in ("trace_start", "trace_end"))
+    return {
+        "events": n_body,
+        "dropped": int(footer.get("dropped", 0)),
+        "complete": bool(footer.get("complete", False)),
+        "final_vt": int(footer.get("vt", 0)),
+        "spans": spans,
+        "prunes": prunes,
+        "incumbent": incumbent,
+    }
 
 
 def to_chrome(events: list[dict]) -> dict:

@@ -60,3 +60,27 @@ def test_edge_list_rejects_binary_garbage(tmp_path):
     path.write_bytes(bytes(range(256)))
     with pytest.raises((ReproError, UnicodeDecodeError)):
         read_edge_list(path)
+
+
+@pytest.mark.parametrize("text, suffix, parser", [
+    ("0 100000000000\n", ".txt", read_edge_list),
+    ("0 1180591620717411303424\n", ".txt", read_edge_list),
+    ("p edge 100000000000 1\ne 1 2\n", ".col", read_dimacs),
+    ("p edge 3 1\ne 1 1180591620717411303424\n", ".col", read_dimacs),
+    ("2 1\n1180591620717411303424\n1\n", ".metis", read_metis),
+], ids=["edge-list-1e11", "edge-list-2^70", "dimacs-header-1e11",
+        "dimacs-edge-2^70", "metis-2^70"])
+def test_out_of_range_ids_are_typed_errors(text, suffix, parser):
+    # Ids past the CSR's int32 range must be rejected before anything
+    # sized by them is allocated or converted to numpy.
+    with pytest.raises(ReproError, match="range"):
+        _roundtrip(text, parser, suffix)
+
+
+def test_out_of_range_id_is_a_load_error_for_the_cli(tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "g.txt"
+    path.write_text("0 100000000000\n")
+    with pytest.raises(SystemExit, match="failed to load"):
+        main(["solve", str(path)])

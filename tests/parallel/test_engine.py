@@ -142,6 +142,35 @@ class TestProcessEngineExact:
         assert result.engine["backend"] == "process"
 
 
+class TestProcessBudgetOvershoot:
+    """Workers run without the in-band budget; the parent checks it after
+    every parfor, so a work budget overshoots by at most one parfor."""
+
+    @pytest.mark.parametrize("name", ["HS-CX", "mouse"])
+    def test_only_the_last_parfor_ends_past_the_budget(self, name,
+                                                       monkeypatch):
+        graph = load(name)
+        full = lazymc(graph, LazyMCConfig(engine="process", processes=2))
+        systematic = full.timers.work["systematic"]
+        max_work = full.counters.work - systematic + systematic // 2
+
+        ends = []
+        parfor = ProcessEngine.parfor
+
+        def spy(self, tasks, body, incumbent):
+            try:
+                return parfor(self, tasks, body, incumbent)
+            finally:
+                ends.append(self.counters.work)
+
+        monkeypatch.setattr(ProcessEngine, "parfor", spy)
+        result = lazymc(graph, LazyMCConfig(engine="process", processes=2,
+                                            max_work=max_work))
+        assert result.timed_out
+        assert len(ends) >= 2
+        assert all(work <= max_work for work in ends[:-1])
+
+
 def _break_start_methods(monkeypatch):
     import multiprocessing as mp
 

@@ -103,6 +103,23 @@ class TestHandleRequest:
         assert response["error_type"] == error_type
         assert service.metrics.counter("jobs_submitted") == 0
 
+    @pytest.mark.parametrize("edges, error_type", [
+        ([[0, 10**11]], "GraphConstructionError"),
+        ([[0, 2**70]], "GraphConstructionError"),
+        ([[0, 1.5]], "ProtocolError"),
+        ([[0, True]], "ProtocolError"),
+        ([[0, -1]], "ProtocolError"),
+        ([[0, 1, 2]], "ProtocolError"),
+        ([[0, "1"]], "ProtocolError"),
+    ], ids=["id-1e11", "id-2^70", "id-float", "id-bool", "id-negative",
+            "triple", "id-str"])
+    def test_bad_inline_edges_are_structured(self, service, edges,
+                                             error_type):
+        response, stop = handle_request(
+            service, {"op": "solve", "edges": edges})
+        assert not response["ok"] and not stop
+        assert response["error_type"] == error_type
+
     def test_bad_target_is_structured(self, service):
         response, _ = handle_request(
             service, {"op": "solve", "target": "no-such"})

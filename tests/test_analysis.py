@@ -6,7 +6,7 @@ import pytest
 
 from repro import lazymc
 from repro.analysis import (
-    format_report, incumbent_growth, to_dict, work_avoidance_report,
+    format_report, incumbent_growth, solve_record, work_avoidance_report,
 )
 from repro.graph.generators import planted_clique, with_periphery
 from tests.conftest import random_graph
@@ -57,14 +57,15 @@ class TestFormatting:
         assert "zone of interest" in text
         assert "neighborhood representations built" in text
 
-    def test_to_dict_json_serializable(self, solved):
+    def test_record_json_round_trip(self, solved):
         graph, result = solved
-        record = to_dict(graph, result)
-        encoded = json.dumps(record)
-        decoded = json.loads(encoded)
+        record = solve_record("lazymc", graph, result)
+        decoded = json.loads(json.dumps(record))
+        assert decoded == record
         assert decoded["omega"] == 10
         assert decoded["funnel"]["considered"] >= decoded["funnel"]["searched"]
         assert set(decoded["phases_seconds"]) == set(decoded["phases_work"])
+        assert sum(decoded["phases_work"].values()) == decoded["work"]
 
     def test_timed_out_marker(self):
         from repro import LazyMCConfig

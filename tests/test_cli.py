@@ -14,7 +14,7 @@ class TestSolve:
     def test_solve_baseline_algo(self, capsys):
         assert main(["solve", "CAroad", "--algo", "mcbrb"]) == 0
         out = capsys.readouterr().out
-        assert "omega  = 4" in out
+        assert "omega      = 4" in out
 
     def test_solve_edge_list_file(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -64,7 +64,7 @@ class TestSolveFlags:
     def test_verify_failure_nonzero_exit(self, capsys, monkeypatch):
         import repro.service.worker as worker_mod
 
-        def bogus(graph, algo, config=None):
+        def bogus(graph, algo, config=None, env=None):
             return {"algo": algo, "n": graph.n, "m": graph.m, "omega": 4,
                     "clique": [0, 1, 2, 3], "wall_seconds": 0.0,
                     "timed_out": False, "exact": True, "work": 0}
@@ -73,9 +73,59 @@ class TestSolveFlags:
         assert main(["solve", "CAroad", "--algo", "mcbrb", "--verify"]) == 1
         assert "verify = FAILED" in capsys.readouterr().err
 
+    def test_solver_exception_is_a_failed_record(self, capsys, monkeypatch):
+        import json
+
+        import repro.service.worker as worker_mod
+
+        def broken(graph, algo, config=None, env=None):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(worker_mod, "solve_graph", broken)
+        assert main(["solve", "CAroad", "--json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["ok"] is False
+        assert record["error_type"] == "RuntimeError"
+
+    def test_bad_fault_spec_exits_with_message(self):
+        with pytest.raises(SystemExit, match="fault spec"):
+            main(["solve", "CAroad", "--faults", "nonsense"])
+
     def test_max_work_budget_degrades(self, capsys):
         assert main(["solve", "WormNet", "--max-work", "200"]) == 0
         assert "timed_out = True" in capsys.readouterr().out
+
+
+class TestOneSchema:
+    """``solve --json``, ``run_job`` and ``JobResult`` are one record."""
+
+    #: Keys that hold wall-clock time, which differs between two runs.
+    WALL = ("wall_seconds", "phases_seconds")
+
+    @pytest.mark.parametrize("target, algo", [("WormNet", "lazymc"),
+                                              ("CAroad", "mcbrb")])
+    def test_solve_json_is_the_job_record(self, target, algo, capsys):
+        import json
+        from dataclasses import fields
+
+        from repro import LazyMCConfig
+        from repro.datasets import load
+        from repro.service.jobs import JobResult
+        from repro.service.worker import JobEnv, run_job
+
+        record = run_job(load(target), algo, LazyMCConfig(), JobEnv())
+        assert record["ok"] is True
+        assert set(record) <= {f.name for f in fields(JobResult)}
+        round_trip = JobResult.from_dict(record).to_dict()
+        assert {k: round_trip[k] for k in record} == record
+
+        assert main(["solve", target, "--algo", algo, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == set(record)
+        assert set(printed["phases_seconds"]) == set(record["phases_seconds"])
+        for key in self.WALL:
+            del printed[key], record[key]
+        assert printed == json.loads(json.dumps(record))
 
 
 class TestTraceFlags:

@@ -1,8 +1,11 @@
-"""Tests for the work-attribution ledger and trace summaries.
+"""Tests for the work account of one solve and for trace summaries.
 
-The ledger's claim is exactness: spent buckets sum to ``Counters.work``,
-the systematic split sums to the systematic phase, avoided buckets sum to
-``considered - searched``.  These are the issue's acceptance invariants.
+Where the work went is on the result itself: ``timers`` splits
+``Counters.work`` over the Alg. 1 phases, and ``funnel`` splits the
+systematic phase into filtering and sub-solver work and counts the
+neighborhoods each filter refuted.  The claim is exactness: phase work
+sums to ``Counters.work``, funnel work to the systematic phase, and the
+filter refutations to ``considered - searched``.
 """
 
 import pytest
@@ -11,66 +14,83 @@ from repro import LazyMCConfig, lazymc
 from repro.datasets import load
 from repro.graph.generators import camouflaged_clique
 from repro.instrument import Counters
-from repro.trace import TraceRecorder, summarize_events, work_attribution
+from repro.trace import TraceRecorder, summarize_events
 
 CONFIGS = {
     "default": LazyMCConfig(),
     "no_kvc": LazyMCConfig(use_kvc=False),
     "bits": LazyMCConfig(kernel_backend="bits"),
+    "process": LazyMCConfig(engine="process", processes=2),
     **{f"filter_rounds_{r}": LazyMCConfig(filter_rounds=r) for r in range(4)},
 }
 
 
+def pruned_by_filter(funnel) -> dict:
+    """Neighborhoods each filter refuted: the funnel's stage deltas."""
+    return {
+        "lazy_filter": funnel.after_coreness - funnel.after_filter1,
+        "early_exit_filter": funnel.after_filter1 - funnel.after_filter2,
+        "advance_filter": funnel.after_filter2 - funnel.after_filter3,
+    }
+
+
 def check_invariants(result):
-    ledger = work_attribution(result)
-    d = ledger.as_dict()
-    assert sum(d["work_by_phase"].values()) == result.counters.work
-    assert d["total_work"] == result.counters.work
-    assert sum(d["systematic"].values()) == \
-        d["work_by_phase"].get("systematic", 0)
-    assert sum(d["pruned_by_technique"].values()) == \
-        d["considered"] - d["searched"]
-    assert d["avoided_neighborhoods"] == d["considered"] - d["searched"]
-    assert all(v >= 0 for v in d["pruned_by_technique"].values())
-    assert d["searched_mc"] + d["searched_kvc"] == d["searched"]
-    return ledger
+    """The exact-sum invariants of a run without resume."""
+    timers, funnel = result.timers, result.funnel
+    assert sum(timers.work.values()) == result.counters.work
+    assert set(timers.work) == set(timers.seconds)
+    assert funnel.work_filtering >= 0
+    pruned = pruned_by_filter(funnel)
+    assert all(v >= 0 for v in pruned.values())
+    assert sum(pruned.values()) == funnel.considered - funnel.searched
+    assert funnel.searched_mc + funnel.searched_kvc == funnel.searched
 
 
 class TestLedgerInvariants:
-    @pytest.mark.parametrize("name", ["dblp", "WormNet"])
+    @pytest.mark.parametrize("name", ["dblp", "WormNet", "CAroad"])
     def test_exact_sums_on_datasets(self, name):
         check_invariants(lazymc(load(name)))
 
     @pytest.mark.parametrize("label", sorted(CONFIGS))
     def test_exact_sums_across_subsolver_arms(self, label):
         result = lazymc(load("HS-CX"), CONFIGS[label])
-        ledger = check_invariants(result)
+        check_invariants(result)
+        funnel = result.funnel
         if label == "default":
             # HS-CX is dense: neighborhoods that survive the funnel go to
-            # the k-VC arm, so the ledger must show k-VC work.
-            assert ledger.searched_kvc > 0
-            assert ledger.systematic["kvc_subsolve"] > 0
+            # the k-VC arm, so the funnel must show k-VC work.
+            assert funnel.searched_kvc > 0
+            assert funnel.work_kvc > 0
         if label == "no_kvc":
-            assert ledger.searched_kvc == 0
+            assert funnel.searched_kvc == 0
         if label == "filter_rounds_0":
             # No degree-filter round ran, so neither stage refuted anything.
-            assert ledger.pruned_by_technique["early_exit_filter"] == 0
-            assert ledger.pruned_by_technique["advance_filter"] == 0
+            pruned = pruned_by_filter(funnel)
+            assert pruned["early_exit_filter"] == 0
+            assert pruned["advance_filter"] == 0
 
     def test_budgeted_run_stays_exact(self):
         result = lazymc(load("WormNet"), LazyMCConfig(max_work=5000))
         assert result.timed_out
         check_invariants(result)
 
+    @pytest.mark.parametrize("engine", ["sim", "seq", "process"])
+    @pytest.mark.parametrize("name", ["WormNet", "HS-CX"])
+    def test_systematic_work_is_funnel_work(self, name, engine):
+        # Every unit of systematic work is done inside a NeighborSearch
+        # task, lazy-graph builds included, on every engine.
+        result = lazymc(load(name), LazyMCConfig(engine=engine, processes=2))
+        assert result.timers.work["systematic"] == result.funnel.work_total
+
     @staticmethod
     def assert_trace_prunes_match_ledger(graph, config=None):
         rec = TraceRecorder()
         result = lazymc(graph, config, tracer=rec)
-        ledger = work_attribution(result)
         summary = summarize_events(rec.all_events())
         funnel_prunes = {t: n for t, n in summary["prunes"].items()
                          if not t.endswith("_subsolve")}
-        expected = {t: n for t, n in ledger.pruned_by_technique.items() if n}
+        expected = {t: n for t, n in pruned_by_filter(result.funnel).items()
+                    if n}
         assert funnel_prunes == expected
 
     def test_ledger_matches_trace_prune_counts_at_full_sampling(self):
