@@ -18,6 +18,8 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 
+from .errors import BudgetExceeded
+
 
 @dataclass
 class Counters:
@@ -173,8 +175,6 @@ class WorkBudget:
 
     def check(self) -> None:
         """Raise :class:`~repro.errors.BudgetExceeded` when over budget."""
-        from .errors import BudgetExceeded
-
         if self.fault_hook is not None:
             self.fault_hook(self.counters.work if self.counters is not None else 0)
         if self.max_work is not None and self.counters is not None:

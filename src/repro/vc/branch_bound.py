@@ -6,6 +6,17 @@ node; when the maximum degree reaches 2 the polynomial path/cycle solver
 closes the instance.  A greedy maximal-matching lower bound prunes nodes
 whose residual budget cannot cover the matching.
 
+Nodes share neighbour sets by reference: each node owns its list, and a
+set is copied only where a node discards from it.  The matching bound and
+the kernel's rules read sets in iteration order, so the search and its
+counters depend on that order.  In CPython a copy of a set with no
+discards since its own last copy has the same table, hence the same
+order; a set that has lost elements can reorder when copied.  So every
+set is *clean* on node entry: the kernel and the branch step copy a set
+before they discard from it, and the branch step copies it again after.
+Each node then reads exactly the sets it would read if it copied every set
+on entry and before each branch.
+
 The decision form ``decide_kvc`` is what the clique reduction binary-search
 consumes; ``minimum_vertex_cover`` wraps it in a linear search for tests
 and the dOmega baseline.
@@ -13,8 +24,12 @@ and the dOmega baseline.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from ..instrument import Counters, WorkBudget
-from .kernelization import kernelize
+# The per-node kernel goes by ``kernelize`` here: perfbench's
+# ``kvc.kernelize`` layer wraps this module's ``kernelize``.
+from .kernelization import kernelize_in_place as kernelize
 from .paths_cycles import vc_paths_and_cycles
 
 
@@ -22,17 +37,15 @@ def _matching_lower_bound(adj: list[set]) -> int:
     """Greedy maximal matching size: every cover needs >= one vertex per
     matched edge."""
     used = set()
-    size = 0
-    for v in range(len(adj)):
-        if v in used or not adj[v]:
+    for v in compress(range(len(adj)), adj):
+        if v in used:
             continue
         for u in adj[v]:
             if u not in used:
                 used.add(v)
                 used.add(u)
-                size += 1
                 break
-    return size
+    return len(used) // 2
 
 
 def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
@@ -45,6 +58,9 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
         return None
 
     def search(work: list[set], k: int) -> list[int] | None:
+        # ``work`` is this node's own list; its sets may be shared with
+        # other nodes, so none is discarded from without a copy.  Every
+        # set is clean on entry: a copy of it has the same order.
         if counters is not None:
             counters.branch_nodes += 1
         if budget is not None:
@@ -57,7 +73,7 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
         k = kr.k
         forced = kr.forced
 
-        degrees = [len(s) for s in work]
+        degrees = list(map(len, work))
         if counters is not None:
             counters.elements_scanned += len(work)
         max_deg = max(degrees, default=0)
@@ -72,24 +88,36 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
             return None
 
         v = degrees.index(max_deg)
-        # Branch 1: v in the cover.
-        left = [set(s) for s in work]
-        for u in left[v]:
-            left[u].discard(v)
+        nbrs = list(work[v])
+        # Both branches start from clean copies of the kernel's dirty sets.
+        for u in kr.dirty:
+            work[u] = set(work[u])
+        # Branch 1: v in the cover.  Each touched set is copied, discarded
+        # from, and copied again so that it is clean in the child.
+        left = work[:]
+        for u in nbrs:
+            s = set(work[u])
+            s.discard(v)
+            left[u] = set(s)
         left[v] = set()
         res = search(left, k - 1)
         if res is not None:
             return forced + [v] + res
-        # Branch 2: N(v) in the cover (v excluded).
-        nbrs = list(work[v])
+        # Branch 2: N(v) in the cover (v excluded).  This node's list is
+        # not read again, so it becomes the child's.
         if len(nbrs) > k:
             return None
-        right = [set(s) for s in work]
+        touched: set[int] = set()
         for u in nbrs:
-            for w in right[u]:
-                right[w].discard(u)
-            right[u] = set()
-        res = search(right, k - len(nbrs))
+            for w in work[u]:
+                if w not in touched:
+                    work[w] = set(work[w])
+                    touched.add(w)
+                work[w].discard(u)
+            work[u] = set()
+        for w in touched:
+            work[w] = set(work[w])
+        res = search(work, k - len(nbrs))
         if res is not None:
             return forced + nbrs + res
         return None
