@@ -6,11 +6,12 @@ size s in the complement, i.e. a vertex cover of size |N| - s.  The solver
 is a branch-and-bound on the highest-degree vertex with the Buss kernel and
 degree-0/1/2 kernelization rules (non-folding cases only, as in the paper),
 falling back to a polynomial algorithm once the maximum degree drops to 2.
-This mirrors the solver used by dOmega (Walteros & Buchanan).
+This mirrors the solver used by dOmega (Walteros & Buchanan).  A greedy
+clique-cover lower bound prunes the search, which runs on int bitmasks.
 """
 
 from .kernelization import kernelize, KernelResult
-from .paths_cycles import vc_paths_and_cycles, min_vc_size_paths_cycles
+from .paths_cycles import vc_paths_and_cycles
 from .branch_bound import decide_kvc, minimum_vertex_cover
 from .clique_via_vc import max_clique_via_vc, clique_exists_via_vc
 
@@ -18,7 +19,6 @@ __all__ = [
     "kernelize",
     "KernelResult",
     "vc_paths_and_cycles",
-    "min_vc_size_paths_cycles",
     "decide_kvc",
     "minimum_vertex_cover",
     "max_clique_via_vc",

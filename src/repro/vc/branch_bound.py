@@ -1,21 +1,18 @@
 """Branch-and-bound decision solver for k-vertex cover (§IV-E).
 
-Branches on the highest-degree vertex v: either v is in the cover (budget
-k - 1) or all of N(v) are (budget k - |N(v)|).  Kernelization runs at every
-node; when the maximum degree reaches 2 the polynomial path/cycle solver
-closes the instance.  A greedy maximal-matching lower bound prunes nodes
-whose residual budget cannot cover the matching.
+Branches on the highest-degree vertex v (lowest id on ties): either v is in
+the cover (budget k - 1) or all of N(v) are (budget k - |N(v)|).
+Kernelization runs at every node; when the maximum degree reaches 2 the
+polynomial path/cycle solver closes the instance.  A greedy clique-cover
+lower bound prunes nodes whose residual budget cannot cover the cliques.
 
-Nodes share neighbour sets by reference: each node owns its list, and a
-set is copied only where a node discards from it.  The matching bound and
-the kernel's rules read sets in iteration order, so the search and its
-counters depend on that order.  In CPython a copy of a set with no
-discards since its own last copy has the same table, hence the same
-order; a set that has lost elements can reorder when copied.  So every
-set is *clean* on node entry: the kernel and the branch step copy a set
-before they discard from it, and the branch step copies it again after.
-Each node then reads exactly the sets it would read if it copied every set
-on entry and before each branch.
+The search runs on Python-int bitmasks built once per call: one
+neighbourhood mask per vertex, shared by every node, and a node is just
+``(alive, k)``.  A vertex's degree is ``(masks[v] & alive).bit_count()``,
+the first branch is ``alive`` without v and the second ``alive`` without
+N(v), so no set or list is copied.  Every choice (kernel scan, branching
+vertex, bound) goes by degree and id, so the cover and the counters do not
+depend on set iteration order.
 
 The decision form ``decide_kvc`` is what the clique reduction binary-search
 consumes; ``minimum_vertex_cover`` wraps it in a linear search for tests
@@ -24,28 +21,42 @@ and the dOmega baseline.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from ..instrument import Counters, WorkBudget
 # The per-node kernel goes by ``kernelize`` here: perfbench's
 # ``kvc.kernelize`` layer wraps this module's ``kernelize``.
-from .kernelization import kernelize_in_place as kernelize
+from .kernelization import (
+    adjacency_masks, kernelize_masks as kernelize, mask_ids,
+    residual_adjacency,
+)
 from .paths_cycles import vc_paths_and_cycles
 
 
-def _matching_lower_bound(adj: list[set]) -> int:
-    """Greedy maximal matching size: every cover needs >= one vertex per
-    matched edge."""
-    used = set()
-    for v in compress(range(len(adj)), adj):
-        if v in used:
+def clique_cover_bound(masks: list[int], alive: int, verts: list[int],
+                       deg: list[int], k: int) -> int:
+    """Greedy clique-cover lower bound on the vertex cover of ``alive``.
+
+    A cover needs at least |C| - 1 vertices of every clique C, so disjoint
+    cliques give the bound sum(|C| - 1).  Cliques start at the uncovered
+    vertex of least (degree, id) and grow by their lowest-id common
+    neighbour.  A matching is a clique cover whose cliques have at most two
+    vertices, so this generalises the matching bound.  Stops as soon as
+    the bound exceeds ``k``.  ``verts`` and ``deg`` are the kernel's.
+    """
+    free = alive
+    bound = 0
+    for v in sorted(verts, key=deg.__getitem__):
+        if not free >> v & 1:
             continue
-        for u in adj[v]:
-            if u not in used:
-                used.add(v)
-                used.add(u)
-                break
-    return len(used) // 2
+        free ^= 1 << v
+        common = masks[v] & free
+        while common:
+            low = common & -common
+            free ^= low
+            bound += 1
+            common &= masks[low.bit_length() - 1]
+        if bound > k:
+            break
+    return bound
 
 
 def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
@@ -56,73 +67,49 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
     """
     if k < 0:
         return None
+    n = len(adj)
+    masks = adjacency_masks(adj)
 
-    def search(work: list[set], k: int) -> list[int] | None:
-        # ``work`` is this node's own list; its sets may be shared with
-        # other nodes, so none is discarded from without a copy.  Every
-        # set is clean on entry: a copy of it has the same order.
+    def search(alive: int, k: int, verts: list[int]) -> list[int] | None:
+        # ``verts`` is the parent's residual vertex list, a superset of
+        # this node's vertices of positive degree.
         if counters is not None:
             counters.branch_nodes += 1
         if budget is not None:
             budget.check()
 
-        kr = kernelize(work, k, counters=counters)
-        if not kr.feasible:
+        kernel = kernelize(masks, alive, k, verts, counters)
+        if kernel is None:
             return None
-        work = kr.adj
-        k = kr.k
-        forced = kr.forced
-
-        degrees = list(map(len, work))
+        alive, k, forced, verts, deg = kernel
         if counters is not None:
-            counters.elements_scanned += len(work)
-        max_deg = max(degrees, default=0)
-        if max_deg == 0:
+            counters.elements_scanned += n
+        if not verts:
             return forced
-        if _matching_lower_bound(work) > k:
+        if clique_cover_bound(masks, alive, verts, deg, k) > k:
             return None
+        max_deg = max(deg)
         if max_deg <= 2:
-            cover = vc_paths_and_cycles(work)
+            cover = vc_paths_and_cycles(
+                residual_adjacency(masks, alive, verts))
             if len(cover) <= k:
                 return forced + cover
             return None
 
-        v = degrees.index(max_deg)
-        nbrs = list(work[v])
-        # Both branches start from clean copies of the kernel's dirty sets.
-        for u in kr.dirty:
-            work[u] = set(work[u])
-        # Branch 1: v in the cover.  Each touched set is copied, discarded
-        # from, and copied again so that it is clean in the child.
-        left = work[:]
-        for u in nbrs:
-            s = set(work[u])
-            s.discard(v)
-            left[u] = set(s)
-        left[v] = set()
-        res = search(left, k - 1)
+        v = deg.index(max_deg)
+        # Branch 1: v in the cover.
+        res = search(alive ^ 1 << v, k - 1, verts)
         if res is not None:
             return forced + [v] + res
-        # Branch 2: N(v) in the cover (v excluded).  This node's list is
-        # not read again, so it becomes the child's.
-        if len(nbrs) > k:
-            return None
-        touched: set[int] = set()
-        for u in nbrs:
-            for w in work[u]:
-                if w not in touched:
-                    work[w] = set(work[w])
-                    touched.add(w)
-                work[w].discard(u)
-            work[u] = set()
-        for w in touched:
-            work[w] = set(work[w])
-        res = search(work, k - len(nbrs))
+        # Branch 2: N(v) in the cover (v is left isolated).  The kernel
+        # left every degree <= k.
+        nbrs = masks[v] & alive
+        res = search(alive ^ nbrs, k - max_deg, verts)
         if res is not None:
-            return forced + nbrs + res
+            return forced + mask_ids(nbrs) + res
         return None
 
-    result = search([set(s) for s in adj], k)
+    result = search((1 << n) - 1, k, [v for v in range(n) if adj[v]])
     if result is None:
         return None
     # Deduplicate while preserving determinism.

@@ -12,18 +12,19 @@ Implements, in the paper's scope, the rules that never merge vertices:
   most k^2 edges and k^2 + k vertices of positive degree; exceeding either
   proves infeasibility.
 
-``kernelize_in_place`` is the kernel the branch-and-bound runs at every
-node.  It rewrites the entries of the list it is given but never discards
-from a neighbour set it has not copied first, so the sets themselves may be
-shared with other lists (the parent node, the sibling branch).
-``kernelize`` is the non-mutating form: one copy of every set, then the
-in-place kernel.
+The kernel works on Python-int bitmasks: ``masks[v]`` is v's neighbourhood
+and the int ``alive`` is the set of vertices still in the instance, so v's
+degree is ``(masks[v] & alive).bit_count()`` and a vertex leaves by
+clearing its bit in ``alive``.  Nothing is copied or mutated, and every
+choice is made in id order, so the result does not depend on set iteration
+order.  ``kernelize_masks`` is the kernel the branch-and-bound runs at
+every node; ``kernelize`` is its set-based form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, cycle
+from itertools import cycle
 
 from ..instrument import Counters
 
@@ -36,91 +37,113 @@ class KernelResult:
     feasible, ``adj`` is the residual instance (same vertex ids, covered or
     removed vertices have empty adjacency), ``forced`` lists vertices that
     every cover of size <= k must (or may safely) contain, and ``k`` is the
-    residual budget.  ``dirty`` holds the ids whose sets the kernel copied
-    and then discarded from.
+    residual budget.
     """
 
     feasible: bool
     adj: list[set] = field(default_factory=list)
     forced: list[int] = field(default_factory=list)
     k: int = 0
-    dirty: set[int] = field(default_factory=set)
 
 
-def _remove_vertex(work: list[set], dirty: set[int], v: int) -> None:
-    for u in work[v]:
-        if u not in dirty:
-            # Copy-on-write: the set may be shared with another list.
-            work[u] = set(work[u])
-            dirty.add(u)
-        work[u].discard(v)
-    work[v] = set()
+def adjacency_masks(adj: list[set]) -> list[int]:
+    """One neighbourhood bitmask per vertex: bit u of ``masks[v]`` is set
+    iff u is in ``adj[v]``."""
+    bit = [1 << u for u in range(len(adj))]
+    return [sum(map(bit.__getitem__, s)) for s in adj]
 
 
-def kernelize_in_place(work: list[set], k: int,
-                       counters: Counters | None = None) -> KernelResult:
-    """Apply all rules to a fixpoint on the list ``work``.
+def mask_ids(x: int) -> list[int]:
+    """The ids of the set bits of ``x``, ascending."""
+    ids = []
+    while x:
+        low = x & -x
+        ids.append(low.bit_length() - 1)
+        x ^= low
+    return ids
 
-    The list is rewritten in place, but no set in it is discarded from
-    until the kernel has copied it (those ids are listed in ``dirty``), so
-    its sets may be shared with other lists.  The vertices of positive
-    degree are visited cyclically in id order, applying the rule that fits
-    the current degree, until every one of them has been visited once since
-    the last change.  That applies the rules in the order repeated full
-    rounds over ``range(n)`` would (a vertex of degree 0 never changes),
-    less the last round, which would change nothing.  Every change lowers
-    k, so there are at most (k + 2) * n visits.
+
+def residual_adjacency(masks: list[int], alive: int,
+                       verts: list[int]) -> list[set]:
+    """The instance ``alive`` as sets over all ids; ``verts`` must list
+    its vertices of positive degree."""
+    adj: list[set] = [set() for _ in masks]
+    for v in verts:
+        adj[v] = set(mask_ids(masks[v] & alive))
+    return adj
+
+
+def kernelize_masks(masks: list[int], alive: int, k: int, verts: list[int],
+                    counters: Counters | None = None):
+    """Apply all rules to a fixpoint on the instance ``alive``.
+
+    ``verts`` lists, ascending, every vertex of positive degree in the
+    instance; it may also list vertices that have left it or lost their
+    edges.  They are visited cyclically in id order, applying the rule that
+    fits the current degree, until every one of them has been visited once
+    since the last change.  Every change lowers k, so there are at most
+    (k + 2) * len(verts) visits, and the last len(verts) of them read every
+    final degree.
+
+    Returns ``None`` for a proven no-instance.  Otherwise returns
+    ``(alive, k, forced, verts, deg)``: the residual instance and budget,
+    the vertices the rules put in the cover, the residual's vertices of
+    positive degree (ascending) and ``deg``, a list over all ids holding
+    their degrees and 0 elsewhere.
     """
     if k < 0:
-        return KernelResult(feasible=False)
+        return None
     forced: list[int] = []
-    dirty: set[int] = set()
-    alive = list(compress(range(len(work)), work))
-    m = len(alive)
+    deg = [0] * len(masks)
+    size = len(verts)
     idle = 0
-    for v in cycle(alive):
-        s = work[v]
-        d = len(s)
+    for v in cycle(verts):
+        nbrs = masks[v] & alive if alive >> v & 1 else 0
+        d = deg[v] = nbrs.bit_count()
         if d > k:
             # Buss rule: v must be in every cover of size <= k.
-            take = (v,)
+            forced.append(v)
+            alive ^= 1 << v
+            k -= 1
         elif d == 1:
             # Pendant: take the neighbor (never worse than taking v).
-            take = tuple(s)
-        elif d == 2:
+            forced.append(nbrs.bit_length() - 1)
+            alive ^= nbrs
+            k -= 1
+        elif d == 2 and masks[(nbrs & -nbrs).bit_length() - 1] & nbrs:
             # Triangle: some optimal cover contains both neighbors.
-            u, w = s
-            take = (u, w) if u in work[w] else ()
+            forced.extend(mask_ids(nbrs))
+            alive ^= nbrs
+            k -= 2
         else:
-            take = ()
-        if not take:
             idle += 1
-            if idle == m:
+            if idle == size:
                 break
             continue
         idle = 0
-        for u in take:
-            forced.append(u)
-            _remove_vertex(work, dirty, u)
-        k -= len(take)
         if counters is not None:
             counters.kernel_reductions += 1
         if k < 0:
-            return KernelResult(feasible=False)
+            return None
 
+    verts = [v for v in verts if deg[v]]
     # Buss size bound on the residual kernel: after the Buss rule every
     # degree is <= k, so a cover of size <= k covers at most k^2 edges and
     # the kernel has at most k^2 + k non-isolated vertices.
-    if sum(map(len, work)) // 2 > k * k or sum(map(bool, work)) > k * k + k:
-        return KernelResult(feasible=False)
-    return KernelResult(feasible=True, adj=work, forced=forced, k=k,
-                        dirty=dirty)
+    if sum(deg) // 2 > k * k or len(verts) > k * k + k:
+        return None
+    return alive, k, forced, verts, deg
 
 
 def kernelize(adj: list[set], k: int,
               counters: Counters | None = None) -> KernelResult:
-    """Apply all rules to a fixpoint; ``adj`` is not mutated.
-
-    The residual instance is built on fresh copies of ``adj``'s sets.
-    """
-    return kernelize_in_place([set(s) for s in adj], k, counters)
+    """Apply all rules to a fixpoint; ``adj`` is not mutated."""
+    masks = adjacency_masks(adj)
+    verts = [v for v, s in enumerate(adj) if s]
+    kernel = kernelize_masks(masks, (1 << len(adj)) - 1, k, verts, counters)
+    if kernel is None:
+        return KernelResult(feasible=False)
+    alive, k, forced, verts, _ = kernel
+    return KernelResult(feasible=True,
+                        adj=residual_adjacency(masks, alive, verts),
+                        forced=forced, k=k)

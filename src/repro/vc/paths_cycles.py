@@ -49,7 +49,7 @@ def _components_deg_le2(adj: list[set]) -> list[tuple[list[int], bool]]:
             continue
         cycle = [start]
         seen[start] = True
-        prev, cur = start, next(iter(adj[start]))
+        prev, cur = start, min(adj[start])
         while cur != start:
             cycle.append(cur)
             seen[cur] = True
@@ -61,23 +61,14 @@ def _components_deg_le2(adj: list[set]) -> list[tuple[list[int], bool]]:
     return comps
 
 
-def min_vc_size_paths_cycles(adj: list[set]) -> int:
-    """Minimum vertex cover size of a max-degree-2 graph."""
-    total = 0
-    for comp, is_cycle in _components_deg_le2(adj):
-        if is_cycle:
-            total += (len(comp) + 1) // 2
-        else:
-            total += len(comp) // 2
-    return total
-
-
 def vc_paths_and_cycles(adj: list[set]) -> list[int]:
     """A minimum vertex cover of a max-degree-2 graph.
 
     Paths: take every second vertex starting from the second.  Cycles:
     take every second vertex starting from the second, plus the last when
-    the cycle is odd.
+    the cycle is odd.  A cycle is walked from its smallest id towards that
+    vertex's smallest neighbour, so the cover does not depend on the
+    iteration order of the sets.
     """
     cover: list[int] = []
     for comp, is_cycle in _components_deg_le2(adj):

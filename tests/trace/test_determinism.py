@@ -54,9 +54,9 @@ GOLDEN = {
     # heuristics and the lazy graph.
     "mouse": {
         "omega": 30,
-        "work": 1720481,
+        "work": 1674920,
         "counters": {
-            "elements_scanned": 1694078,
+            "elements_scanned": 1649633,
             "intersections": 17107,
             "early_exit_false": 2237,
             "early_exit_true": 7159,
@@ -65,8 +65,8 @@ GOLDEN = {
             "neighborhoods_built_hash": 148,
             "neighbors_filtered_at_build": 46,
             "kvc_subsolves": 119,
-            "branch_nodes": 2494,
-            "kernel_reductions": 8408,
+            "branch_nodes": 1378,
+            "kernel_reductions": 4253,
         },
     },
 }

@@ -1,14 +1,16 @@
-"""Differential check of the k-VC arm against a frozen copy of the
-copy-everything implementation.
+"""Differential checks of the k-VC arm.
 
-The production kernel and branch-and-bound share neighbour sets between
-nodes and copy only the sets they discard from.  The frozen functions
-below copy every set at kernel entry and at each branch.  Because the
-matching bound and the kernel's rules read sets in iteration order, the
-two must agree not only on content but on that order: same forced list,
-same residual ``list(s)``, same cover and the same counters.
+The frozen functions below are the copy-everything set-based kernel and
+branch-and-bound with the greedy matching bound that the bitmask search
+replaced.  The two searches use different bounds, so their node counts
+differ by design; the frozen copy is kept as a *decision* oracle (the same
+``None``/cover answer for every ``(adj, k)``) and as the reference for the
+kernel's rules, which did not change.  The mask search also makes every
+choice by degree and id, so its cover and counters must not depend on the
+iteration order of the caller's sets, which the frozen copy's do.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,8 @@ from repro.instrument import Counters
 from repro.vc import (
     decide_kvc, kernelize, max_clique_via_vc, minimum_vertex_cover,
 )
-from repro.vc.kernelization import KernelResult
+from repro.vc.branch_bound import clique_cover_bound
+from repro.vc.kernelization import KernelResult, adjacency_masks
 from repro.vc.paths_cycles import vc_paths_and_cycles
 
 
@@ -162,6 +165,24 @@ def _random_adjacency(n, p, seed):
     return adj
 
 
+def _reordered(adj):
+    """Equal sets with other tables: each is grown from eight padding ids
+    that are then discarded, with its own ids added in descending order."""
+    pad = range(len(adj), len(adj) + 8)
+    out = []
+    for s in adj:
+        t = set(pad)
+        t.update(sorted(s, reverse=True))
+        t.difference_update(pad)
+        out.append(t)
+    return out
+
+
+def _is_cover(adj, cover):
+    cs = set(cover)
+    return all(u in cs or v in cs for u in range(len(adj)) for v in adj[u])
+
+
 instances = st.builds(
     lambda n, p, seed, complemented: (
         complement_adjacency_sets(_random_adjacency(n, p, seed))
@@ -172,7 +193,7 @@ instances = st.builds(
 
 #: Complements of dense graphs: the k-VC arm's own inputs.  With k at the
 #: minimum cover size and one below, the search branches deep enough for
-#: set order to decide the matching bound's prunes.
+#: the bound's prunes to matter.
 dense_complements = st.builds(
     lambda n, p, seed: complement_adjacency_sets(_random_adjacency(n, p, seed)),
     st.integers(16, 44), st.floats(0.5, 0.95), st.integers(0, 10**6))
@@ -186,6 +207,8 @@ class TestFrozenEquivalence:
     @given(instances, st.integers(-1, 40))
     @settings(max_examples=200, deadline=None)
     def test_kernelize(self, adj, k):
+        """The kernel's rules are unchanged: same residual, budget, forced
+        vertices and reduction count as the frozen full-round kernel."""
         want = Counters()
         got = Counters()
         frozen = _frozen_kernelize(adj, k, counters=want)
@@ -193,17 +216,18 @@ class TestFrozenEquivalence:
         assert kr.feasible == frozen.feasible
         assert got.as_dict() == want.as_dict()
         if frozen.feasible:
-            assert kr.forced == frozen.forced
+            assert sorted(kr.forced) == sorted(frozen.forced)
             assert kr.k == frozen.k
-            assert _snapshot(kr.adj) == _snapshot(frozen.adj)
+            assert kr.adj == frozen.adj
 
     @staticmethod
     def _assert_same_decision(adj, k):
-        want = Counters()
-        got = Counters()
-        assert decide_kvc(adj, k, counters=got) == \
-            _frozen_decide_kvc(adj, k, counters=want)
-        assert got.as_dict() == want.as_dict()
+        got = decide_kvc(adj, k)
+        want = _frozen_decide_kvc(adj, k)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) <= k
+            assert _is_cover(adj, got)
 
     @given(instances, st.integers(-1, 40))
     @settings(max_examples=200, deadline=None)
@@ -218,9 +242,76 @@ class TestFrozenEquivalence:
         self._assert_same_decision(adj, opt)
 
 
+def _brute_min_vc(adj):
+    n = len(adj)
+    for size in range(n + 1):
+        for cover in itertools.combinations(range(n), size):
+            if _is_cover(adj, cover):
+                return size
+    return n
+
+
+class TestCliqueCoverBound:
+    @given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_never_exceeds_the_minimum_cover(self, n, p, seed):
+        adj = _random_adjacency(n, p, seed)
+        masks = adjacency_masks(adj)
+        verts = [v for v in range(n) if adj[v]]
+        deg = [len(s) for s in adj]
+        bound = clique_cover_bound(masks, (1 << n) - 1, verts, deg, n)
+        assert bound <= _brute_min_vc(adj)
+
+    def test_complete_graph_is_one_clique(self):
+        n = 7
+        adj = [set(range(n)) - {v} for v in range(n)]
+        bound = clique_cover_bound(adjacency_masks(adj), (1 << n) - 1,
+                                   list(range(n)), [n - 1] * n, n)
+        assert bound == n - 1 == _brute_min_vc(adj)
+
+
+class TestOrderFreedom:
+    """Equal sets that iterate in other orders give the same cover and
+    the same counters."""
+
+    @staticmethod
+    def _run(adj, k):
+        counters = Counters()
+        return decide_kvc(adj, k, counters=counters), counters.as_dict()
+
+    @given(dense_complements)
+    @settings(max_examples=100, deadline=None)
+    def test_decide_kvc(self, adj):
+        other = _reordered(adj)
+        assert other == adj
+        opt = len(minimum_vertex_cover(adj))
+        for k in (opt - 1, opt):
+            assert self._run(other, k) == self._run(adj, k)
+
+    def test_frozen_search_depends_on_order(self):
+        """The check bites: on this instance the frozen search's node
+        count moves under reordering, the mask search's does not."""
+        adj = complement_adjacency_sets(_random_adjacency(20, 0.7, 105))
+        other = _reordered(adj)
+        k = len(minimum_vertex_cover(adj)) - 1
+        before, after = Counters(), Counters()
+        _frozen_decide_kvc(adj, k, counters=before)
+        _frozen_decide_kvc(other, k, counters=after)
+        assert before.branch_nodes != after.branch_nodes
+        assert self._run(other, k) == self._run(adj, k)
+
+    def test_kernelize(self):
+        adj = complement_adjacency_sets(_random_adjacency(24, 0.8, 37))
+        other = _reordered(adj)
+        assert _snapshot(other) != _snapshot(adj)
+        for k in range(len(adj)):
+            a, b = kernelize(adj, k), kernelize(other, k)
+            assert (a.feasible, a.forced, a.k, a.adj) == \
+                (b.feasible, b.forced, b.k, b.adj)
+
+
 class TestCallerAdjacencyUntouched:
-    """Sets are shared by reference inside the search; the caller's must
-    keep their content and their iteration order."""
+    """The caller's sets keep their content and their iteration order."""
 
     @given(instances, st.integers(0, 40))
     @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ from repro.graph import from_edges, complete_graph
 from repro.graph.subgraph import induced_adjacency_sets
 from repro.instrument import Counters
 from repro.vc import (
-    kernelize, vc_paths_and_cycles, min_vc_size_paths_cycles,
+    kernelize, vc_paths_and_cycles,
     decide_kvc, minimum_vertex_cover, max_clique_via_vc, clique_exists_via_vc,
 )
 from tests.conftest import brute_force_max_clique, random_graph
@@ -75,6 +75,15 @@ class TestKernelization:
         adj = adj_of(from_edges(40, edges))
         assert not kernelize(adj, 3).feasible
 
+    def test_buss_size_bound_edge_count_is_tight(self):
+        # Cycles leave every rule idle at k = 2: C4 has k^2 edges and
+        # stays, C5 has k^2 + 1 and is refuted by the size bound alone.
+        c4 = adj_of(from_edges(4, [(i, (i + 1) % 4) for i in range(4)]))
+        c5 = adj_of(from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+        kr = kernelize(c4, 2)
+        assert kr.feasible and kr.adj == c4 and kr.forced == []
+        assert not kernelize(c5, 2).feasible
+
     def test_input_not_mutated(self):
         adj = adj_of(from_edges(3, [(0, 1), (1, 2)]))
         before = [set(s) for s in adj]
@@ -86,7 +95,6 @@ class TestPathsCycles:
     def test_path_sizes(self):
         for p in range(2, 9):
             adj = adj_of(from_edges(p, [(i, i + 1) for i in range(p - 1)]))
-            assert min_vc_size_paths_cycles(adj) == p // 2
             cover = vc_paths_and_cycles(adj)
             assert is_cover(adj, cover)
             assert len(cover) == p // 2
@@ -94,7 +102,6 @@ class TestPathsCycles:
     def test_cycle_sizes(self):
         for c in range(3, 10):
             adj = adj_of(from_edges(c, [(i, (i + 1) % c) for i in range(c)]))
-            assert min_vc_size_paths_cycles(adj) == (c + 1) // 2
             cover = vc_paths_and_cycles(adj)
             assert is_cover(adj, cover)
             assert len(cover) == (c + 1) // 2
@@ -103,15 +110,36 @@ class TestPathsCycles:
         # Path of 3 (vc 1) + cycle of 5 (vc 3) + isolated vertex.
         edges = [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
         adj = adj_of(from_edges(9, edges))
-        assert min_vc_size_paths_cycles(adj) == 4
-        assert is_cover(adj, vc_paths_and_cycles(adj))
+        cover = vc_paths_and_cycles(adj)
+        assert len(cover) == 4
+        assert is_cover(adj, cover)
+
+    def test_cycle_cover_is_order_free(self):
+        """Each cycle is walked from its smallest id towards that vertex's
+        smallest neighbour, whatever order the sets iterate in."""
+        order = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9]
+        edges = [(order[i], order[(i + 1) % 11]) for i in range(11)]
+        adj = [set() for _ in range(11)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        backwards = [set() for _ in range(11)]
+        for u, v in reversed(edges):
+            backwards[u].add(v)
+            backwards[v].add(u)
+        # Vertex 0's neighbours 1 and 9 share a hash slot, so the two
+        # sets iterate in opposite orders.
+        assert backwards == adj and list(backwards[0]) != list(adj[0])
+        cover = vc_paths_and_cycles(adj)
+        assert vc_paths_and_cycles(backwards) == cover
+        assert is_cover(adj, cover) and len(cover) == 6
 
     def test_rejects_high_degree(self):
         from repro.errors import SolverError
 
         adj = adj_of(from_edges(4, [(0, 1), (0, 2), (0, 3)]))
         with pytest.raises(SolverError):
-            min_vc_size_paths_cycles(adj)
+            vc_paths_and_cycles(adj)
 
 
 class TestDecideKVC:
@@ -192,3 +220,29 @@ class TestCliqueViaVC:
         assert max_clique_via_vc(adj, lower_bound=omega) is None
         found = max_clique_via_vc(adj, lower_bound=omega - 1)
         assert found is not None and len(found) == omega
+
+
+class TestKernelHook:
+    """perfbench's ``kvc.kernelize`` layer wraps the module-level name
+    ``repro.vc.branch_bound.kernelize``; the search must look it up there
+    once per branch node, or the layer silently reads zero."""
+
+    def test_one_call_per_branch_node(self, monkeypatch):
+        from repro import lazymc
+        from repro.datasets import load
+        from repro.vc import branch_bound
+
+        calls = []
+        kernel = branch_bound.kernelize
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(branch_bound, "kernelize", counted)
+        # Every searched neighbourhood of mouse goes to the k-VC arm, so
+        # all of its branch nodes are k-VC nodes.
+        result = lazymc(load("mouse"))
+        assert result.counters.mc_subsolves == 0
+        assert result.counters.kvc_subsolves > 0
+        assert len(calls) == result.counters.branch_nodes > 0
