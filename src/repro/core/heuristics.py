@@ -100,7 +100,6 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
                                     config: LazyMCConfig,
                                     engine) -> None:
     """Alg. 6: one greedy descent per coreness level, highest level first."""
-    core = lazy.core
     if lazy.n == 0:
         return
     degeneracy = lazy.degeneracy()
@@ -109,8 +108,7 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
     # Lowest-numbered vertex of each level; core is non-decreasing in the
     # relabelled order, so the first occurrence per value suffices.
     first_at_level: dict[int, int] = {}
-    for v in range(lazy.n):
-        c = int(core[v])
+    for v, c in enumerate(lazy.core.tolist()):
         if c >= 0 and c not in first_at_level:
             first_at_level[c] = v
     levels = [k for k in range(degeneracy, 0, -1) if k in first_at_level]

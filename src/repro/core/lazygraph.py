@@ -18,7 +18,9 @@ Four ideas in one data structure:
   array.  Both may coexist; intersections prefer the hash form.
 
 Concurrency follows the paper: double-checked locking around construction,
-with each representation read-only afterwards.
+with each representation read-only afterwards.  A representation exists
+exactly when its slot in ``_hash_reps`` / ``_sorted_reps`` is not ``None``;
+the slot is the flag, so the lock-free fast path is one list read.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from ..instrument import Counters
 from ..intersect.early_exit import SortedArraySet
 from ..parallel.locks import StripedLocks
 from .config import LazyMCConfig, PrepopulatePolicy
-
-_FLAG_HASH = 1
-_FLAG_SORTED = 2
 
 
 class LazyGraph:
@@ -53,7 +52,6 @@ class LazyGraph:
         self.config = config if config is not None else LazyMCConfig()
         self.counters = counters if counters is not None else Counters()
         n = graph.n
-        self._flags = np.zeros(n, dtype=np.uint8)
         self._hash_reps: list[set[int] | None] = [None] * n
         self._sorted_reps: list[np.ndarray | None] = [None] * n
         self._locks = StripedLocks(64)
@@ -97,30 +95,31 @@ class LazyGraph:
         ``min_core`` is the incumbent size at the requesting context; it is
         applied only if the representation does not exist yet.
         """
-        if self._flags[v] & _FLAG_HASH:
-            return self._hash_reps[v]  # fast path, no lock
+        rep = self._hash_reps[v]
+        if rep is not None:
+            return rep  # fast path, no lock
         with self._locks.lock_for(v):
-            if not (self._flags[v] & _FLAG_HASH):  # double-checked
+            rep = self._hash_reps[v]
+            if rep is None:  # double-checked
                 members = self._filtered_relabelled_neighbors(v, min_core)
                 rep = set(members.tolist())
                 self.counters.hash_inserts += len(members)
                 self.counters.neighborhoods_built_hash += 1
                 self._hash_reps[v] = rep
-                self._flags[v] |= _FLAG_HASH
-        return self._hash_reps[v]
+        return rep
 
     def sorted_neighborhood(self, v: int, min_core: int = 0) -> np.ndarray:
         """Sorted-array representation, built on first request."""
-        if self._flags[v] & _FLAG_SORTED:
-            return self._sorted_reps[v]
+        rep = self._sorted_reps[v]
+        if rep is not None:
+            return rep
         with self._locks.lock_for(v):
-            if not (self._flags[v] & _FLAG_SORTED):
-                members = self._filtered_relabelled_neighbors(v, min_core)
-                members = np.sort(members)
+            rep = self._sorted_reps[v]
+            if rep is None:
+                rep = np.sort(self._filtered_relabelled_neighbors(v, min_core))
                 self.counters.neighborhoods_built_sorted += 1
-                self._sorted_reps[v] = members
-                self._flags[v] |= _FLAG_SORTED
-        return self._sorted_reps[v]
+                self._sorted_reps[v] = rep
+        return rep
 
     # -- representation choice (§IV-A) ------------------------------------------------
 
@@ -131,10 +130,12 @@ class LazyGraph:
         rule decides which to build (hash above the threshold, sorted
         otherwise).
         """
-        if self._flags[v] & _FLAG_HASH:
-            return self._hash_reps[v]
-        if self._flags[v] & _FLAG_SORTED:
-            return SortedArraySet(self._sorted_reps[v])
+        rep = self._hash_reps[v]
+        if rep is not None:
+            return rep
+        arr = self._sorted_reps[v]
+        if arr is not None:
+            return SortedArraySet(arr)
         if self.degrees[v] > self.config.hash_degree_threshold:
             return self.hashed_neighborhood(v, min_core)
         return SortedArraySet(self.sorted_neighborhood(v, min_core))
@@ -148,16 +149,18 @@ class LazyGraph:
         filter loops hit the same vertices many times) stop paying the
         conversion.
         """
-        if self._flags[v] & _FLAG_SORTED:
-            return self._sorted_reps[v]
-        if self._flags[v] & _FLAG_HASH:
-            with self._locks.lock_for(v):
-                if not (self._flags[v] & _FLAG_SORTED):
-                    self._sorted_reps[v] = np.array(
-                        sorted(self._hash_reps[v]), dtype=np.int64)
-                    self._flags[v] |= _FLAG_SORTED
-            return self._sorted_reps[v]
-        return self.sorted_neighborhood(v, min_core)
+        arr = self._sorted_reps[v]
+        if arr is not None:
+            return arr
+        rep = self._hash_reps[v]
+        if rep is None:
+            return self.sorted_neighborhood(v, min_core)
+        with self._locks.lock_for(v):
+            arr = self._sorted_reps[v]
+            if arr is None:
+                arr = np.array(sorted(rep), dtype=np.int64)
+                self._sorted_reps[v] = arr
+        return arr
 
     def right_neighborhood(self, v: int, min_core: int = 0) -> np.ndarray:
         """``{u in N(v) : u > v and core[u] >= min_core}`` (Alg. 8 line 2).
@@ -210,8 +213,8 @@ class LazyGraph:
 
     def built_counts(self) -> tuple[int, int]:
         """(hash, sorted) representation counts currently materialized."""
-        return (int(np.sum((self._flags & _FLAG_HASH) > 0)),
-                int(np.sum((self._flags & _FLAG_SORTED) > 0)))
+        return (sum(rep is not None for rep in self._hash_reps),
+                sum(rep is not None for rep in self._sorted_reps))
 
     def to_original(self, vertices) -> list[int]:
         """Translate relabelled ids back to original graph ids."""

@@ -97,20 +97,18 @@ def systematic_search(lazy: LazyGraph, incumbent: Incumbent,
     Tracing rides the inline body only — the process engine's workers run
     untraced.
     """
-    core = lazy.core
-    n = lazy.n
-    if n == 0:
+    if lazy.n == 0:
         return
     degeneracy = lazy.degeneracy()
     if degeneracy <= 0:
         return
 
     # Group vertices by coreness level; relabelled order sorts by coreness,
-    # so levels are contiguous id ranges.
+    # so levels are contiguous id ranges.  The tasks read the same list.
+    core = lazy.core.tolist()
     levels: dict[int, list[int]] = {}
     first_at_level: dict[int, int] = {}
-    for v in range(n):
-        c = int(core[v])
+    for v, c in enumerate(core):
         if c < 0:
             continue
         levels.setdefault(c, []).append(v)

@@ -9,7 +9,7 @@ searches.
 
 from .csr import CSRGraph
 from .builders import from_edges, from_adjacency, from_networkx, empty_graph, complete_graph
-from .kcore import coreness, coreness_lower_bounded, degeneracy, kcore_subgraph, peeling_order
+from .kcore import coreness, degeneracy, peeling_order
 from .ordering import degeneracy_order, coreness_degree_order, VertexOrder, relabel_graph
 from .complement import complement
 from .subgraph import induced_subgraph, subgraph_density, induced_adjacency_sets
@@ -25,9 +25,7 @@ __all__ = [
     "empty_graph",
     "complete_graph",
     "coreness",
-    "coreness_lower_bounded",
     "degeneracy",
-    "kcore_subgraph",
     "peeling_order",
     "degeneracy_order",
     "coreness_degree_order",

@@ -5,12 +5,13 @@ bucket data structure (``bin_start`` / ``pos`` / ``vert`` arrays).  The
 peeling order it produces is the degeneracy order used by most MC solvers:
 it guarantees every right-neighborhood has size at most the coreness of its
 vertex (Eppstein et al.), which is why the paper sorts by (coreness, degree)
-for its parallel-friendly variant (§IV-F).
+for its parallel-friendly variant (§IV-F).  The buckets are set up with
+numpy and the peel runs on Python lists.
 
-Also provides the *lower-bounded* coreness of Alg. 1 line 4: vertices whose
-degree is below the incumbent-clique lower bound are peeled away before the
-decomposition proper, which both speeds the computation up and marks those
-vertices as outside the zone of interest.
+Also provides the *degree-filtered* coreness of Alg. 1 line 4: vertices
+whose degree is below the incumbent-clique lower bound are excluded before
+the decomposition proper, which both speeds the computation up and marks
+those vertices as outside the zone of interest.
 """
 
 from __future__ import annotations
@@ -28,56 +29,54 @@ def _peel(degrees: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     ``order`` lists vertices in peeling (degeneracy) order.  Vertices with
     ``alive[v] == False`` are excluded entirely (coreness -1, absent from
     the order).
+
+    The bucket arrays are built with numpy; the peeling itself steps
+    through Python lists, one element at a time, because numpy scalars
+    cost several times a list item on each access.
     """
     n = len(degrees)
     if alive is None:
-        alive_mask = np.ones(n, dtype=bool)
-        deg = degrees.astype(np.int64).copy()
+        ids = np.arange(n)
+        deg_arr = np.asarray(degrees, dtype=np.int64)
     else:
-        alive_mask = alive.copy()
+        ids = np.flatnonzero(alive)
         # Degrees restricted to the alive subgraph: counting edges to
-        # excluded vertices would inflate coreness values.
-        deg = np.zeros(n, dtype=np.int64)
-        for v in np.flatnonzero(alive_mask):
-            deg[v] = int(alive_mask[indices[indptr[v]:indptr[v + 1]]].sum())
-    nv = int(alive_mask.sum())
-    core = np.full(n, -1, dtype=np.int64)
+        # excluded vertices would inflate coreness values.  Excluded
+        # vertices get degree 0 and position -1, so the peel never moves
+        # them.
+        sources = np.repeat(np.arange(n), np.diff(indptr))
+        both = alive[sources] & alive[indices]
+        deg_arr = np.bincount(sources[both], minlength=n)
+    nv = len(ids)
     if nv == 0:
-        return core, np.empty(0, dtype=np.int64)
+        return np.full(n, -1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    max_deg = int(deg[alive_mask].max()) if nv else 0
-    # Bucket sort vertices by current degree.
-    bin_count = np.zeros(max_deg + 2, dtype=np.int64)
-    for v in range(n):
-        if alive_mask[v]:
-            bin_count[deg[v]] += 1
-    bin_start = np.zeros(max_deg + 2, dtype=np.int64)
+    # Bucket sort vertices by current degree: a stable sort of the alive
+    # ids by degree is the bucket fill in increasing id order.
+    alive_deg = deg_arr[ids]
+    by_degree = ids[np.argsort(alive_deg, kind="stable")]
+    bin_count = np.bincount(alive_deg, minlength=int(alive_deg.max()) + 2)
+    bin_start = np.zeros(len(bin_count), dtype=np.int64)
     np.cumsum(bin_count[:-1], out=bin_start[1:])
-    vert = np.empty(nv, dtype=np.int64)
-    pos = np.full(n, -1, dtype=np.int64)
-    fill = bin_start.copy()
-    for v in range(n):
-        if alive_mask[v]:
-            d = deg[v]
-            vert[fill[d]] = v
-            pos[v] = fill[d]
-            fill[d] += 1
+    pos_arr = np.full(n, -1, dtype=np.int64)
+    pos_arr[by_degree] = np.arange(nv)
 
+    deg = deg_arr.tolist()
+    pos = pos_arr.tolist()
+    vert = by_degree.tolist()
+    bin_start = bin_start.tolist()
+    bounds = indptr.tolist()
+    core = [-1] * n
     # bin_start[d] = first index in vert of a vertex with current degree d.
-    order = np.empty(nv, dtype=np.int64)
     for i in range(nv):
         v = vert[i]
         dv = deg[v]
         core[v] = dv
-        order[i] = v
         # Decrement the degree of each still-unpeeled neighbor, moving it
         # one bucket down by swapping it with the first vertex of its bucket.
-        for u in indices[indptr[v]:indptr[v + 1]]:
-            u = int(u)
-            if not alive_mask[u]:
-                continue
-            if deg[u] > dv and pos[u] > i:
-                du = deg[u]
+        for u in indices[bounds[v]:bounds[v + 1]].tolist():
+            du = deg[u]
+            if du > dv and pos[u] > i:
                 pu = pos[u]
                 pw = bin_start[du]
                 # Never swap below the frontier of already-peeled vertices.
@@ -89,16 +88,17 @@ def _peel(degrees: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                     pos[u], pos[w] = pw, pu
                 bin_start[du] = pw + 1
                 deg[u] = du - 1
-    # Coreness must be the running maximum along the peeling order: a vertex
-    # peeled after another cannot have smaller coreness than the max so far.
+    # Swaps only touch positions past the frontier, so ``vert`` is now the
+    # peeling order.  Coreness must be the running maximum along it: a
+    # vertex peeled after another cannot have smaller coreness than the
+    # max so far.
     running = 0
-    for i in range(nv):
-        v = order[i]
+    for v in vert:
         if core[v] < running:
             core[v] = running
         else:
-            running = int(core[v])
-    return core, order
+            running = core[v]
+    return np.array(core, dtype=np.int64), np.array(vert, dtype=np.int64)
 
 
 def coreness(graph: CSRGraph) -> np.ndarray:
@@ -127,58 +127,6 @@ def coreness_degree_filtered(graph: CSRGraph, lower_bound: int) -> np.ndarray:
     alive = graph.degrees >= lower_bound
     core, _ = _peel(graph.degrees, graph.indptr, graph.indices, alive=alive)
     return core
-
-
-def coreness_lower_bounded(graph: CSRGraph, lower_bound: int) -> np.ndarray:
-    """Coreness restricted to the ``lower_bound``-core (Alg. 1 line 4).
-
-    Vertices outside the ``lower_bound``-core cannot belong to a clique of
-    size > ``lower_bound`` and get coreness ``-1``.  For the remaining
-    vertices the value equals the unrestricted coreness (the k-core
-    decomposition of the k-core subgraph is unchanged for levels >= k).
-    """
-    if lower_bound <= 0:
-        return coreness(graph)
-    alive = _kcore_mask(graph, lower_bound)
-    core, _ = _peel(graph.degrees, graph.indptr, graph.indices, alive=alive)
-    return core
-
-
-def _kcore_mask(graph: CSRGraph, k: int) -> np.ndarray:
-    """Boolean mask of vertices in the k-core, by iterative removal.
-
-    Vectorized frontier peeling: repeatedly drop all vertices whose residual
-    degree fell below ``k``; each round is a bincount over the edges leaving
-    the dropped set.
-    """
-    deg = graph.degrees.astype(np.int64).copy()
-    alive = deg >= 0
-    frontier = np.flatnonzero(deg < k)
-    alive[frontier] = False
-    while len(frontier):
-        touched: list[np.ndarray] = []
-        for v in frontier:
-            touched.append(graph.neighbors(int(v)))
-        if touched:
-            hits = np.concatenate(touched)
-            dec = np.bincount(hits, minlength=graph.n)
-            deg -= dec
-        frontier = np.flatnonzero(alive & (deg < k))
-        alive[frontier] = False
-    return alive
-
-
-def kcore_subgraph(graph: CSRGraph, k: int) -> tuple[CSRGraph, np.ndarray]:
-    """Induced subgraph on the k-core.
-
-    Returns ``(subgraph, vertices)`` where ``vertices[i]`` is the original
-    id of subgraph vertex ``i``.
-    """
-    from .subgraph import induced_subgraph
-
-    alive = _kcore_mask(graph, k)
-    vertices = np.flatnonzero(alive)
-    return induced_subgraph(graph, vertices), vertices
 
 
 def degeneracy(graph: CSRGraph) -> int:

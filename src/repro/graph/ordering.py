@@ -7,10 +7,10 @@ Two orders are provided:
 * :func:`coreness_degree_order` — the paper's parallel-friendly order: sort
   by increasing coreness with ties broken by increasing degree.  The paper
   computes it with SAPCo sort (a parallel counting sort by degree) followed
-  by a stable counting sort by coreness; we implement exactly that two-phase
-  stable counting-sort pipeline (vectorized rather than multithreaded — the
-  resulting permutation is identical to the parallel one because both
-  phases are stable).
+  by a stable counting sort by coreness; we implement that two-phase
+  pipeline with a stable argsort per phase (vectorized rather than
+  multithreaded — a stable sort by the same keys yields the same
+  permutation as the stable counting sort, sequential or parallel).
 
 A :class:`VertexOrder` packages the bidirectional permutation so that the
 lazy graph can remap between original and relabelled ids in O(1) per vertex.
@@ -64,24 +64,15 @@ class VertexOrder:
 
 
 def _counting_sort_stable(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Stable counting sort of ``items`` by small non-negative ``keys``.
+    """Stable sort of ``items`` by small non-negative ``keys``.
 
-    This is the sequential equivalent of one SAPCo-sort phase: a histogram,
-    a prefix sum, and a scatter.  Stability is what makes chaining two
-    phases equivalent to a lexicographic sort.
+    One SAPCo-sort phase is a stable counting sort: a histogram, a prefix
+    sum, and a scatter in input order.  A stable argsort by the same keys
+    yields the same permutation, since stability fixes the order of equal
+    keys in both.  Stability is also what makes chaining two phases
+    equivalent to a lexicographic sort.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    if len(items) == 0:
-        return items.copy()
-    counts = np.bincount(keys, minlength=int(keys.max()) + 1)
-    fill = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=fill[1:])
-    out = np.empty_like(items)
-    for i in range(len(items)):  # sequential scatter preserves stability
-        k = keys[i]
-        out[fill[k]] = items[i]
-        fill[k] += 1
-    return out
+    return items[np.argsort(keys, kind="stable")]
 
 
 def degeneracy_order(graph: CSRGraph) -> tuple[VertexOrder, np.ndarray]:
@@ -100,11 +91,12 @@ def degeneracy_order(graph: CSRGraph) -> tuple[VertexOrder, np.ndarray]:
 def coreness_degree_order(graph: CSRGraph, core: np.ndarray) -> VertexOrder:
     """Sort by (coreness, degree), both increasing — the paper's order.
 
-    Implemented as two chained stable counting sorts (degree first, then
-    coreness), exactly the SAPCo-sort + stable-counting-sort pipeline of
-    §IV-F.  Vertices with negative coreness (filtered out by the bounded
-    k-core computation) sort before everything else; they are never
-    searched, so their position only needs to be consistent.
+    Implemented as two chained stable sorts (degree first, then
+    coreness), which give the permutation of the SAPCo-sort +
+    stable-counting-sort pipeline of §IV-F.  Vertices with negative
+    coreness (filtered out by the degree-filtered k-core computation) sort
+    before everything else; they are never searched, so their position
+    only needs to be consistent.
     """
     ids = np.arange(graph.n, dtype=np.int64)
     by_degree = _counting_sort_stable(graph.degrees.astype(np.int64), ids)

@@ -16,16 +16,27 @@ Three operations, all asking "is the intersection larger than θ?":
 ``__contains__`` — a :class:`~repro.intersect.hashset.HopscotchSet`, a
 Python ``set``, or a :class:`SortedArraySet` adapter.
 
-The kernels track ``h = n - θ - misses``, the number of further misses
-tolerable before the intersection provably cannot exceed θ.  Every exit
-condition is expressed through ``h`` exactly as in the paper.
+The paper's kernels track ``h = n - θ - misses``, the number of further
+misses tolerable before the intersection provably cannot exceed θ.  Here
+each exit is a budget fixed before the one loop over ``A``, which iterates
+the elements (no indexing) and reads no config inside:
+
+* the *miss budget* is ``h``'s start value ``n - θ``: the scan ends false
+  when it runs out;
+* the *hit budget* (boolean kernel only) is ``max(θ + 1, 1)``: the scan
+  ends true when it runs out, which is exactly when the paper's second
+  exit fires.
 
 All three accept an :class:`EarlyExitConfig` so the Fig. 5 ablation can
-disable (a) all early exits or (b) only the second, true-side exit.
+disable (a) all early exits or (b) only the second, true-side exit; a
+disabled exit gets the budget ``n + 1``, which no scan of ``n`` elements
+spends.  The elements scanned are the budget spent, and the counters are
+written once per call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +65,22 @@ class SortedArraySet:
 
     Used when only the sorted-array representation of a neighborhood
     exists and the caller has chosen not to build the hash set; membership
-    degrades to binary search.
+    degrades to binary search, a ``bisect_left`` over the row as a list.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_items")
 
     def __init__(self, data: np.ndarray):
         self._data = data
+        self._items = data.tolist()
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._items)
 
     def __contains__(self, value: int) -> bool:
-        d = self._data
-        i = int(np.searchsorted(d, value))
-        return i < len(d) and d[i] == value
+        items = self._items
+        i = bisect_left(items, value)
+        return i < len(items) and items[i] == value
 
     def to_array(self) -> np.ndarray:
         """The underlying sorted array."""
@@ -84,33 +96,20 @@ def intersect_size_gt_val(A, B, theta: int, counters: Counters | None = None,
     whole of ``A`` is scanned (ablation baseline).
     """
     n = len(A)
-    m = len(B)
-    scanned = 0
-    result = -2  # sentinel: not yet decided
-    if n <= theta or m <= theta:
+    if n <= theta or len(B) <= theta:
         result = -1
-        hits = 0
+        scanned = 0
     else:
-        limit_misses = n - theta  # == initial h
-        misses = 0
+        budget = misses_left = n - theta if config.enabled else n + 1
         hits = 0
-        if config.enabled:
-            for a in range(n):
-                scanned += 1
-                if A[a] in B:
-                    hits += 1
-                else:
-                    misses += 1
-                    if misses >= limit_misses:
-                        result = -1
-                        break
-        else:
-            for a in range(n):
-                scanned += 1
-                if A[a] in B:
-                    hits += 1
-            misses = n - hits
-    if result == -2:
+        for x in A:
+            if x in B:
+                hits += 1
+            else:
+                misses_left -= 1
+                if not misses_left:
+                    break
+        scanned = hits + budget - misses_left
         result = hits if hits > theta else -1
     if counters is not None:
         counters.intersections += 1
@@ -131,29 +130,22 @@ def intersect_gt(A, B, out: np.ndarray | list, theta: int,
     -1 is returned and ``out`` holds an unspecified partial prefix.
     """
     n = len(A)
-    m = len(B)
-    scanned = 0
-    if n <= theta or m <= theta:
+    if n <= theta or len(B) <= theta:
         if counters is not None:
             counters.intersections += 1
         return -1
-    limit_misses = n - theta
-    misses = 0
+    budget = misses_left = n - theta if config.enabled else n + 1
     hits = 0
-    result = -2
-    for a in range(n):
-        scanned += 1
-        x = A[a]
+    for x in A:
         if x in B:
             out[hits] = x
             hits += 1
         else:
-            misses += 1
-            if config.enabled and misses >= limit_misses:
-                result = -1
+            misses_left -= 1
+            if not misses_left:
                 break
-    if result == -2:
-        result = hits if hits > theta else -1
+    scanned = hits + budget - misses_left
+    result = hits if hits > theta else -1
     if counters is not None:
         counters.intersections += 1
         counters.elements_scanned += scanned
@@ -171,29 +163,36 @@ def intersect_size_gt_bool(A, B, theta: int, counters: Counters | None = None,
     side: with ``h`` misses still tolerable and only ``n - a - 1`` elements
     left unchecked after a hit, ``h > n - a - 1`` guarantees a true
     verdict no matter what the rest of ``A`` does — this is the paper's
-    "second exit", profitable on very large sets (§IV-B).
+    "second exit", profitable on very large sets (§IV-B).  Since
+    ``h = n - θ - misses``, that test holds exactly when the hits so far
+    exceed θ, so the second exit is a hit budget of ``max(θ + 1, 1)``
+    beside the miss budget ``h``.
     """
     n = len(A)
-    m = len(B)
-    if n <= theta or m <= theta:
+    if n <= theta or len(B) <= theta:
         if counters is not None:
             counters.intersections += 1
         return False
-    h = n - theta
-    scanned = 0
+    miss_budget = misses_left = n - theta if config.enabled else n + 1
+    if config.enabled and config.second_exit:
+        hit_budget = hits_left = theta + 1 if theta >= 0 else 1
+    else:
+        hit_budget = hits_left = n + 1
     verdict: bool | None = None
-    for a in range(n):
-        scanned += 1
-        if A[a] in B:
-            if config.enabled and config.second_exit and h > n - a - 1:
+    for x in A:
+        if x in B:
+            hits_left -= 1
+            if not hits_left:
                 verdict = True
                 break
         else:
-            h -= 1
-            if config.enabled and h <= 0:
+            misses_left -= 1
+            if not misses_left:
                 verdict = False
                 break
+    hits = hit_budget - hits_left
     if counters is not None:
+        scanned = hits + miss_budget - misses_left
         counters.intersections += 1
         counters.elements_scanned += scanned
         counters.hash_lookups += scanned
@@ -202,7 +201,7 @@ def intersect_size_gt_bool(A, B, theta: int, counters: Counters | None = None,
         elif verdict is True:
             counters.early_exit_true += 1
     if verdict is None:
-        verdict = h > 0
+        verdict = hits > theta
     return verdict
 
 

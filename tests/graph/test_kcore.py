@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     from_edges, complete_graph, empty_graph,
-    coreness, coreness_lower_bounded, degeneracy, kcore_subgraph, peeling_order,
+    coreness, degeneracy, peeling_order,
 )
+from repro.graph.kcore import coreness_degree_filtered
 from tests.conftest import naive_coreness, random_graph
 
 
@@ -100,54 +101,34 @@ class TestDegeneracy:
 
 
 class TestBoundedCoreness:
+    """``coreness_degree_filtered``: Alg. 1 line 4 as the solver runs it."""
+
     def test_zero_bound_equals_plain(self):
         g = random_graph(18, 0.3, seed=2)
-        assert np.array_equal(coreness_lower_bounded(g, 0), coreness(g))
+        assert np.array_equal(coreness_degree_filtered(g, 0), coreness(g))
 
     def test_filters_low_degree_vertices(self):
         # K4 plus pendant: with lower bound 3 the pendant must be excluded.
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]
         g = from_edges(5, edges)
-        c = coreness_lower_bounded(g, 3)
+        c = coreness_degree_filtered(g, 3)
         assert list(c[:4]) == [3, 3, 3, 3]
         assert c[4] == -1
 
     def test_agrees_with_plain_above_bound(self):
-        """Coreness values >= bound are unchanged by the bounded variant."""
+        """A vertex of true coreness >= bound keeps its exact value."""
         for seed in range(4):
             g = random_graph(30, 0.25, seed=seed)
             full = coreness(g)
-            for lb in (1, 2, 3):
-                bounded = coreness_lower_bounded(g, lb)
-                mask = bounded >= 0
-                assert np.array_equal(bounded[mask], full[mask])
-                # Everything excluded really had coreness < lb.
-                assert np.all(full[~mask] < lb)
+            for lb in (1, 2, 3, 4):
+                bounded = coreness_degree_filtered(g, lb)
+                assert np.all(bounded[g.degrees < lb] == -1)
+                keep = full >= lb
+                assert np.array_equal(bounded[keep], full[keep])
+                # Never an overestimate.
+                assert np.all(bounded <= full)
 
     def test_unsatisfiable_bound(self):
         g = from_edges(3, [(0, 1), (1, 2)])
-        c = coreness_lower_bounded(g, 5)
+        c = coreness_degree_filtered(g, 5)
         assert list(c) == [-1, -1, -1]
-
-
-class TestKCoreSubgraph:
-    def test_kcore_of_clique_plus_tail(self):
-        edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
-        g = from_edges(5, edges)
-        sub, verts = kcore_subgraph(g, 2)
-        assert list(verts) == [0, 1, 2]
-        assert sub.m == 3
-
-    def test_kcore_empty_when_k_too_big(self):
-        g = from_edges(3, [(0, 1), (1, 2)])
-        sub, verts = kcore_subgraph(g, 3)
-        assert sub.n == 0
-        assert len(verts) == 0
-
-    def test_kcore_min_degree_invariant(self):
-        for seed in range(4):
-            g = random_graph(30, 0.2, seed=seed + 50)
-            for k in (1, 2, 3):
-                sub, verts = kcore_subgraph(g, k)
-                if sub.n:
-                    assert int(sub.degrees.min()) >= k

@@ -65,10 +65,17 @@ class TestCounters:
             assert getattr(a, name) == i + 1, name
 
     def test_as_dict_covers_every_field(self):
+        # merge, copy and as_dict walk COUNTER_NAMES, computed once from
+        # the fields: with a distinct value per field, a field the tuple
+        # skipped or swapped would show here and in the round trips above.
         from dataclasses import fields
 
-        d = Counters().as_dict()
-        assert set(d) == {f.name for f in fields(Counters)}
+        from repro.instrument import COUNTER_NAMES
+
+        names = [f.name for f in fields(Counters)]
+        assert list(COUNTER_NAMES) == names
+        values = {name: i + 1 for i, name in enumerate(names)}
+        assert Counters(**values).as_dict() == values
 
     def test_words_scanned_counts_as_work(self):
         c = Counters(elements_scanned=3, words_scanned=4, branch_nodes=2,
