@@ -1,19 +1,22 @@
-"""Kernel-level microbenchmarks: representations, early exits, backends.
+"""Kernel-level microbenchmarks: representations, early exits, arm race.
 
-Not a paper artifact, but the measurement base under Figs. 4/5: compares
-three set representations (hopscotch hash, sorted array, builtin set),
-quantifies the early-exit benefit as a function of how far the
-intersection outcome is from the threshold θ, and races the sets vs bits
-branch-and-bound kernels on dense random subgraphs — the committed
-``BENCH_3.json`` baseline the ``perf`` CI job diffs against.
+Not a paper artifact, but the measurement base under Figs. 4/5/6:
+compares three set representations (hopscotch hash, sorted array,
+builtin set), quantifies the early-exit benefit as a function of how far
+the intersection outcome is from the threshold θ, and races the three
+sub-solver arms — k-VC, the bit kernel and the sets MC solver — on the
+neighborhoods a default solve actually dispatches.  Together they are
+the committed ``BENCH_3.json`` baseline the ``perf`` CI job diffs
+against.
 
 All results are reported in deterministic work counters (*scanned
 elements* / *scanned words*) plus wall-clock fields.  Every wall field is
 named so :mod:`repro.bench.regress` excludes it (``wall*``/``ns_*``):
-only the deterministic counters are regression-checked.  Inputs are
-generated with the stdlib PRNG — its sequence is stable across Python and
-numpy versions, which is what makes the committed counters comparable in
-CI.
+only the deterministic counters are regression-checked.  The kernel
+inputs are generated with the stdlib PRNG — its sequence is stable
+across Python and numpy versions, which is what makes the committed
+counters comparable in CI; the race's inputs are registry graphs and a
+fixed G(n, p) draw.
 """
 
 from __future__ import annotations
@@ -23,12 +26,18 @@ import time
 
 import numpy as np
 
+from ..core import filtering
+from ..core.config import LazyMCConfig
+from ..core.solver import lazymc
+from ..datasets import load
+from ..graph import generators
 from ..instrument import Counters
-from ..intersect import (BitMatrix, HopscotchSet, intersect_size_gt_bool,
+from ..intersect import (HopscotchSet, intersect_size_gt_bool,
                          intersect_size_gt_val)
 from ..intersect.early_exit import EarlyExitConfig, SortedArraySet
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
+from ..vc.clique_via_vc import max_clique_via_vc
 from .harness import BenchConfig
 from .reporting import render_table
 
@@ -106,65 +115,106 @@ def run_early_exit_benefit(n: int = 256, universe: int = 4096,
     return rows
 
 
-#: Dense G(n, p) instances for the backend race: the filter-funnel regime
-#: (small, dense) where BBMC encodings historically win.  Sized so the
-#: sets backend takes seconds per instance — long enough for stable
-#: ratios, short enough for CI.
-_KERNEL_INSTANCES = ((112, 0.8), (128, 0.75), (128, 0.8))
+# -- arm race on recorded traffic ----------------------------------------------
+
+#: The race's inputs: two bio registry graphs and one G(120, 0.7) draw
+#: (the generator seed of the p = 0.7 member of perfbench's dimacs-synth
+#: workload, without that workload's relabelling), the one input where
+#: the bit kernel has beaten k-VC.
+ARM_RACE_INPUTS = ("HS-CX", "mouse", "gnp-n120-p0.7")
+_GNP_SEED = 2036044446
+
+#: The three sub-solver arms, each called as ``solve(adj, bound, counters)``.
+_ARMS = (
+    ("kvc", lambda adj, bound, c: max_clique_via_vc(
+        adj, lower_bound=bound, counters=c)),
+    ("bits", lambda adj, bound, c: BitMCSubgraphSolver(
+        counters=c).solve(adj, bound)),
+    ("sets", lambda adj, bound, c: MCSubgraphSolver(
+        counters=c).solve(adj, bound)),
+)
 
 
-def _random_dense_adj(n: int, p: float, seed: int) -> list[set]:
-    """G(n, p) as set adjacency, stdlib PRNG (cross-version stable)."""
-    rng = random.Random(seed)
-    adj: list[set] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u].add(v)
-                adj[v].add(u)
-    return adj
+def _race_graph(name: str):
+    if name == "gnp-n120-p0.7":
+        return generators.gnp_random(120, 0.7, seed=_GNP_SEED)
+    return load(name)
 
 
-def run_kernel_backends(instances=_KERNEL_INSTANCES, seed: int = 7) -> list[dict]:
-    """Race the sets and bits branch-and-bound kernels on dense graphs.
+def record_dispatched(graph):
+    """Solve ``graph`` at the default config; return
+    ``(neighborhoods, result)``.
 
-    Each row carries both backends' deterministic work counters (the
-    regression-checked payload) and wall-clock fields (``wall_*``,
-    machine-dependent, excluded from regression).  ``omega_sets`` and
-    ``omega_bits`` must always agree — both kernels are exact.
+    ``neighborhoods`` lists ``(adj, bound)`` for every neighborhood the
+    solve handed to a sub-solver, in dispatch order.  They are recorded
+    by wrapping :func:`repro.core.filtering._induced_adjacency`, the one
+    extraction every arm reads, for this solve only: the solver itself
+    has no hook.  The extraction's ``min_core`` is the incumbent size,
+    so the sub-solver's bound is one less.
     """
-    rows = []
-    for n, p in instances:
-        adj = _random_dense_adj(n, p, seed)
+    recorded: list[tuple[list[set], int]] = []
+    extract = filtering._induced_adjacency
 
-        sets_counters = Counters()
-        t0 = time.perf_counter()
-        sets_clique = MCSubgraphSolver(counters=sets_counters).solve(adj)
-        wall_sets = time.perf_counter() - t0
+    def recording(lazy, candidates, min_core, counters):
+        adj = extract(lazy, candidates, min_core, counters)
+        recorded.append((adj, min_core - 1))
+        return adj
 
-        mat = BitMatrix.from_sets(adj)
-        bits_counters = Counters()
-        t0 = time.perf_counter()
-        bits_clique = BitMCSubgraphSolver(counters=bits_counters).solve(mat)
-        wall_bits = time.perf_counter() - t0
+    filtering._induced_adjacency = recording
+    try:
+        result = lazymc(graph, LazyMCConfig())
+    finally:
+        filtering._induced_adjacency = extract
+    return recorded, result
 
-        rows.append({
-            "name": f"bbmc-n{n}-p{p}",
-            "n": n,
-            "p": p,
-            "omega_sets": len(sets_clique) if sets_clique else 0,
-            "omega_bits": len(bits_clique) if bits_clique else 0,
-            "work_sets": sets_counters.work,
-            "work_bits": bits_counters.work,
-            "elements_scanned_sets": sets_counters.elements_scanned,
-            "words_scanned_bits": bits_counters.words_scanned,
-            "branch_nodes_sets": sets_counters.branch_nodes,
-            "branch_nodes_bits": bits_counters.branch_nodes,
-            "wall_sets": wall_sets,
-            "wall_bits": wall_bits,
-            "wall_speedup_bits": wall_sets / wall_bits if wall_bits else 0.0,
-        })
-    return rows
+
+def run_arm_race(inputs=ARM_RACE_INPUTS) -> list[dict]:
+    """Race k-VC, the bit kernel and the sets MC arm on recorded traffic.
+
+    Every neighborhood the default config dispatches on each input is
+    solved again by all three arms with the same bound.  Rows bucket the
+    neighborhoods by input, induced-density decile and size (k < 64 or
+    k >= 64); per arm they carry the summed ``work_*`` and
+    ``branch_nodes_*`` counters (regression-checked) and ``wall_*``
+    seconds (machine-dependent).  Raises ``RuntimeError`` when the
+    recorded count is not the solve's ``funnel.searched`` or when two
+    arms disagree on a found clique's size: all three are exact.
+    """
+    rows: dict[tuple, dict] = {}
+    for order, name in enumerate(inputs):
+        dispatched, result = record_dispatched(_race_graph(name))
+        if len(dispatched) != result.funnel.searched:
+            raise RuntimeError(
+                f"{name}: recorded {len(dispatched)} neighborhoods, "
+                f"funnel.searched is {result.funnel.searched}")
+        for adj, bound in dispatched:
+            k = len(adj)
+            density = sum(map(len, adj)) / (k * (k - 1)) if k > 1 else 1.0
+            decile = min(int(density * 10), 9)
+            size = "k>=64" if k >= 64 else "k<64"
+            row = rows.get((order, decile, size))
+            if row is None:
+                row = rows[(order, decile, size)] = {
+                    "name": f"{name}/d{decile}/{size}", "input": name,
+                    "density": f"{decile / 10:.1f}-{(decile + 1) / 10:.1f}",
+                    "size": size, "count": 0}
+                for arm, _ in _ARMS:
+                    row.update({f"work_{arm}": 0, f"branch_nodes_{arm}": 0,
+                                f"wall_{arm}": 0.0})
+            row["count"] += 1
+            found_sizes = {}
+            for arm, solve in _ARMS:
+                counters = Counters()
+                t0 = time.perf_counter()
+                found = solve(adj, bound, counters)
+                row[f"wall_{arm}"] += time.perf_counter() - t0
+                row[f"work_{arm}"] += counters.work
+                row[f"branch_nodes_{arm}"] += counters.branch_nodes
+                found_sizes[arm] = len(found) if found else 0
+            if len(set(found_sizes.values())) != 1:
+                raise RuntimeError(f"{name}: arms disagree on a neighborhood "
+                                   f"of {k} vertices: {found_sizes}")
+    return [rows[key] for key in sorted(rows)]
 
 
 # -- engine race (exported as the separate ``engines`` artifact) --------------
@@ -260,9 +310,6 @@ def run_engine_race(n_tasks: int = 64, burn: int = 150_000,
             row["wall_map"] = getattr(eng, "wall_seconds", 0.0)
         rows.append(row)
 
-    from .. import LazyMCConfig, lazymc
-    from ..datasets import load
-
     graph = load(dataset)
     for engine_name in ("seq", "process"):
         cfg = LazyMCConfig(engine=engine_name, processes=processes)
@@ -287,7 +334,7 @@ def run(config: BenchConfig | None = None) -> dict:
     return {
         "representations": run_representations(),
         "early_exit": run_early_exit_benefit(),
-        "kernel_backends": run_kernel_backends(),
+        "arm_race": run_arm_race(),
     }
 
 
@@ -308,15 +355,16 @@ def render(results: dict) -> str:
         [[r["kernel"], f'{r["actual_over_theta"]:.2f}', r["scanned_with_exits"],
           r["scanned_without"], f'{r["saving"]:.3f}'] for r in rows],
         title="Micro — early-exit scan savings vs theta margin"))
-    rows = results.get("kernel_backends", [])
-    if rows:
-        parts.append(render_table(
-            ["instance", "omega", "work sets", "work bits", "wall sets (s)",
-             "wall bits (s)", "speedup"],
-            [[r["name"], r["omega_bits"], r["work_sets"], r["work_bits"],
-              f'{r["wall_sets"]:.3f}', f'{r["wall_bits"]:.3f}',
-              f'{r["wall_speedup_bits"]:.1f}x'] for r in rows],
-            title="Micro — branch-and-bound kernel backends (sets vs bits)"))
+    rows = results["arm_race"]
+    parts.append(render_table(
+        ["input", "density", "size", "count", "wall kvc (s)", "wall bits (s)",
+         "wall sets (s)", "work kvc", "work bits", "work sets"],
+        [[r["input"], r["density"], r["size"], r["count"],
+          f'{r["wall_kvc"]:.3f}', f'{r["wall_bits"]:.3f}',
+          f'{r["wall_sets"]:.3f}', r["work_kvc"], r["work_bits"],
+          r["work_sets"]] for r in rows],
+        title="Micro — sub-solver arm race on recorded neighborhoods "
+              "(k-VC vs bits vs sets)"))
     return "\n\n".join(parts)
 
 

@@ -86,7 +86,7 @@ def _flatten_rows(rows) -> dict:
 
     Artifacts export either a flat ``list[dict]`` or sections
     (``dict`` of lists, e.g. micro's representations / early_exit /
-    kernel_backends).  Sectioned rows get a ``section:`` key prefix and
+    arm_race).  Sectioned rows get a ``section:`` key prefix and
     repeated keys inside a section a stable ``#index`` suffix, so rows
     pair positionally-deterministically instead of silently shadowing
     each other.

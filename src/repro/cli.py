@@ -51,8 +51,8 @@ KNOB_FLAGS = {
     "--kernel": ("kernel_backend", {
         "choices": KERNEL_BACKENDS,
         "help": "MC sub-solver backend: list[set] branch and bound "
-                "(default), the bit-parallel BBMC kernel, or density-based "
-                "auto selection (lazymc only)"}),
+                "(default) or the bit-parallel BBMC kernel, which then "
+                "solves every searched neighborhood (lazymc only)"}),
     "--engine": ("engine", {
         "choices": ENGINE_NAMES,
         "help": "execution engine: deterministic simulated scheduler "

@@ -25,7 +25,7 @@ from ..parallel.engine import ENGINE_NAMES
 
 
 #: The MC kernel backends ``kernel_backend`` accepts.
-KERNEL_BACKENDS = ("sets", "bits", "auto")
+KERNEL_BACKENDS = ("sets", "bits")
 
 
 def _is_int(value) -> bool:
@@ -68,15 +68,11 @@ class LazyMCConfig:
     # §IV-A: hash representation for degree > threshold, sorted otherwise.
     hash_degree_threshold: int = 16
     # MC kernel backend (related work §VI, bit-level parallelism):
-    # "sets" is the paper's list[set] solver, "bits" the BBMC-style packed
-    # kernel, "auto" picks bits when the filtered subgraph is at least
-    # ``bits_min_size`` vertices at ``bits_min_density`` induced density —
-    # the dense regime where word-parallel ops win.  When the bits backend
-    # is selected it takes precedence over the k-VC arm: both target the
-    # same dense subgraphs and the bit kernel is the specialist.
-    kernel_backend: str = "sets"  # "sets" | "bits" | "auto"
-    bits_min_size: int = 64
-    bits_min_density: float = 0.5
+    # "sets" is the paper's list[set] solver, "bits" the BBMC-style
+    # bit-parallel kernel.  Both take the same (adj, bound) input.  When
+    # "bits" is selected it takes precedence over the k-VC arm, so it
+    # solves every searched neighborhood.
+    kernel_backend: str = "sets"  # "sets" | "bits"
     # Simulated parallelism (§V-F).
     threads: int = 1
     # Execution engine (repro.parallel.engine): "sim" is the deterministic
@@ -112,10 +108,6 @@ class LazyMCConfig:
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(f"kernel_backend must be one of "
                              f"{', '.join(KERNEL_BACKENDS)}")
-        if self.bits_min_size < 0:
-            raise ValueError("bits_min_size must be >= 0")
-        if not 0.0 <= self.bits_min_density <= 1.0:
-            raise ValueError("bits_min_density must be in [0, 1]")
 
     def replace(self, **changes) -> "LazyMCConfig":
         """Functional update (dataclasses.replace with a friendlier name)."""

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..instrument import Counters, WorkBudget
-from ..intersect.bitmatrix import BitMatrix
 from ..intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
@@ -97,7 +96,9 @@ def _induced_adjacency(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
     """Cut out G[N] as local-id set adjacency, each set filled in row order.
 
     Sub-solvers iterate these sets, and a set's iteration order follows
-    its insertion order.
+    its insertion order.  This is the one extraction all three arms
+    read; ``bench micro``'s arm race records the dispatched traffic by
+    wrapping this module-level name, so callers look it up here.
     """
     cand_list = candidates.tolist()
     index = {u: i for i, u in enumerate(cand_list)}
@@ -107,33 +108,6 @@ def _induced_adjacency(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
         counters.elements_scanned += len(row)
         adj.append({index[w] for w in row.tolist() if w in index})
     return adj
-
-
-def _induced_bitmatrix(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
-                       counters: Counters) -> BitMatrix:
-    """Cut out G[N] directly as packed word rows (bits-backend path).
-
-    Skips the Python ``set`` materialization entirely: each neighborhood
-    row is mapped to local ids with a vectorized sorted-membership probe
-    and scattered straight into the row's words.  Charges the same
-    per-element scan as :func:`_induced_adjacency` — the extraction reads
-    the same rows either way.
-    """
-    cand = np.asarray(candidates, dtype=np.int64)
-    k = len(cand)
-    sorter = np.argsort(cand, kind="stable")
-    sorted_cand = cand[sorter]
-    mat = BitMatrix(k)
-    for i in range(k):
-        row = np.asarray(lazy.neighborhood_array(int(cand[i]), min_core),
-                         dtype=np.int64)
-        counters.elements_scanned += len(row)
-        if len(row):
-            pos = np.searchsorted(sorted_cand, row)
-            pos = np.minimum(pos, k - 1)
-            hits = sorted_cand[pos] == row
-            mat.set_row(i, sorter[pos[hits]])
-    return mat
 
 
 def _degree_filters(lazy: LazyGraph, cand: np.ndarray, cstar: int,
@@ -251,37 +225,22 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
     funnel.after_filter3 += 1
     cand = np.asarray(survivors, dtype=np.int64)
 
-    # Density from m̂ (directed count over survivors).
+    # One extraction for every arm; the density comes from m̂ (directed
+    # count over survivors) when a val round ran, else from the sets.
     k = len(cand)
-    if rounds >= 1 and k > 1:
+    adj = _induced_adjacency(lazy, cand, cstar, counters)
+    if k <= 1:
+        density = 1.0
+    elif rounds >= 1:
         density = m_hat / (k * (k - 1))
     else:
-        density = None  # unknown without a val round; computed below
+        density = sum(len(s) for s in adj) / (k * (k - 1))
 
-    # Backend resolution (line 14's dispatch, extended with the bit
-    # kernel).  The bits backend wants density known and no set-adjacency
-    # built at all (packed rows come straight from the membership probes);
-    # every other consumer — the k-VC complement build, the sets solver —
-    # needs ``list[set]`` adjacency.  When no val round ran the density is
-    # unknown, so sets are materialized first and "auto" resolves against
-    # the measured value.
-    adj: list[set] | None = None
-    mat: BitMatrix | None = None
-    if density is None or config.kernel_backend != "bits":
-        adj = _induced_adjacency(lazy, cand, cstar, counters)
-        if density is None:
-            edges2 = sum(len(s) for s in adj)
-            density = edges2 / (k * (k - 1)) if k > 1 else 1.0
-
-    use_bits = config.kernel_backend == "bits" or (
-        config.kernel_backend == "auto"
-        and k >= config.bits_min_size
-        and density >= config.bits_min_density)
-
+    # Line 14's dispatch, extended with the bit kernel.  The bit kernel
+    # takes precedence over k-VC: "bits" means BBMC solves every searched
+    # neighborhood.
     funnel.searched += 1
-    # The bit kernel takes precedence over k-VC: both specialize in the
-    # dense regime, and when the user (or "auto") asked for bits that is
-    # the dense-subgraph solver of record.
+    use_bits = config.kernel_backend == "bits"
     use_kvc = (not use_bits) and config.use_kvc \
         and density >= config.density_threshold
     if use_kvc:
@@ -295,14 +254,8 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         tracer.point("dispatch", v=v, backend="sets" if arm == "mc" else arm,
                      k=k, density=round(density, 6))
 
-    if use_bits:
-        # Packed extraction is charged as filtering work, same as the
-        # set-adjacency extraction on the other paths.
-        mat = BitMatrix.from_sets(adj) if adj is not None \
-            else _induced_bitmatrix(lazy, cand, cstar, counters)
-
-    # The span opens after the bit-matrix extraction, so the arm's span
-    # covers the sub-solve's work alone, as funnel.work_mc/work_kvc do.
+    # The arm's span covers the sub-solve's work alone, as
+    # funnel.work_mc/work_kvc do.
     bound = cstar - 1
     work_before = counters.work
     span = tracer.span(f"{arm}_subsolve", sampled=True, n=k, bound=bound) \
@@ -313,7 +266,7 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
                                       counters=counters, budget=budget)
         elif use_bits:
             found = BitMCSubgraphSolver(counters=counters,
-                                        budget=budget).solve(mat, bound)
+                                        budget=budget).solve(adj, bound)
         else:
             found = MCSubgraphSolver(counters=counters,
                                      budget=budget).solve(adj, bound)

@@ -11,8 +11,8 @@ Phases, in order, each timed for the Fig. 2 breakdown:
    (policy-dependent, Fig. 4).
 5. ``heuristic_coreness`` — Alg. 6 on the lazy graph.
 6. ``systematic`` — Alg. 7 + Alg. 8.  The per-neighborhood sub-solver is
-   chosen by ``LazyMCConfig.kernel_backend`` ("sets" | "bits" | "auto");
-   the default "sets" path is the paper's solver, unchanged.
+   chosen by ``LazyMCConfig.kernel_backend`` ("sets" | "bits"); the
+   default "sets" path is the paper's solver, unchanged.
 
 The result is exact: the returned clique is a maximum clique of the input.
 """

@@ -9,12 +9,8 @@ intersection bigger than θ?" (§IV-B).  This subpackage provides:
   ``intersect_size_gt_val``, ``intersect_gt`` (Alg. 3) and
   ``intersect_size_gt_bool`` (Alg. 4), each instrumented and toggleable for
   the Fig. 5 ablation.
-* :class:`~repro.intersect.bitmatrix.BitMatrix` — packed uint64 adjacency
-  rows for the bit-parallel BBMC kernel (related work §VI), plus the shared
-  vectorized :func:`~repro.intersect.bitmatrix.popcount_words`.
 """
 
-from .bitmatrix import BitMatrix, popcount_words
 from .hashset import HopscotchSet
 from .early_exit import (
     EarlyExitConfig,
@@ -24,8 +20,6 @@ from .early_exit import (
 )
 
 __all__ = [
-    "BitMatrix",
-    "popcount_words",
     "HopscotchSet",
     "EarlyExitConfig",
     "intersect_gt",

@@ -7,22 +7,21 @@ pruning rule".  That combination is the classic MCQ/MCS family; this package
 implements it over small set-adjacency subgraphs, which is how the
 systematic search consumes it.  :mod:`~repro.mc.bitkernel` is the same
 search in BBMC bit-parallel form (related work §VI), selected via
-``LazyMCConfig.kernel_backend``.
+``LazyMCConfig.kernel_backend``.  Both solvers take the same input,
+``solve(adj, lower_bound)`` over ``list[set]`` local-id adjacency.
 """
 
 from .coloring import greedy_coloring, color_sort, chromatic_upper_bound
-from .branch_bound import max_clique_subgraph, MCSubgraphSolver, peel_order
-from .bitkernel import max_clique_bits, BitMCSubgraphSolver
+from .branch_bound import MCSubgraphSolver, peel_order
+from .bitkernel import BitMCSubgraphSolver
 from .bronkerbosch import bron_kerbosch_pivot, enumerate_maximal_cliques
 
 __all__ = [
     "greedy_coloring",
     "color_sort",
     "chromatic_upper_bound",
-    "max_clique_subgraph",
     "MCSubgraphSolver",
     "peel_order",
-    "max_clique_bits",
     "BitMCSubgraphSolver",
     "bron_kerbosch_pivot",
     "enumerate_maximal_cliques",

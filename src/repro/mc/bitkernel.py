@@ -25,15 +25,19 @@ therefore report different (but each internally consistent) work totals —
 see docs/performance.md for the counter semantics.
 
 The solve contract mirrors :class:`~repro.mc.branch_bound.MCSubgraphSolver`
-exactly: ``solve(mat, lower_bound)`` returns a clique strictly larger than
-the bound or ``None`` (a proof), and honors ``WorkBudget`` ticks at every
-branch node.
+exactly: ``solve(adj, lower_bound)`` takes the same ``list[set]``
+local-id adjacency, returns a clique strictly larger than the bound or
+``None`` (a proof), and honors ``WorkBudget`` ticks at every branch node.
+The kernel packs ``adj`` into one Python-int row mask per vertex with
+:func:`~repro.vc.kernelization.adjacency_masks`, the form the k-VC arm
+also works on: at subgraph scale (tens of 64-bit words) CPython's big-int
+bitwise ops run a whole row in one C call.
 """
 
 from __future__ import annotations
 
 from ..instrument import Counters, WorkBudget
-from ..intersect.bitmatrix import BitMatrix
+from ..vc.kernelization import adjacency_masks, mask_ids
 from .branch_bound import peel_order
 
 
@@ -50,31 +54,31 @@ class BitMCSubgraphSolver:
         self._best: list[int] = []
         self._best_size = 0
 
-    def solve(self, mat: BitMatrix, lower_bound: int = 0) -> list[int] | None:
-        """Find a clique strictly larger than ``lower_bound`` in ``mat``.
+    def solve(self, adj: list[set], lower_bound: int = 0) -> list[int] | None:
+        """Find a clique strictly larger than ``lower_bound`` in ``adj``.
 
-        Returns local ids of ``mat`` (or ``None`` as an exactness proof),
+        Returns local ids of ``adj`` (or ``None`` as an exactness proof),
         identical in meaning to the sets backend's return value.
         """
-        n = mat.n
+        n = len(adj)
         if n == 0:
             return None
         counters = self.counters
-        self._wpr = max(mat.words_per_row, 1)
+        self._wpr = max((n + 63) // 64, 1)
 
         # Degeneracy relabelling: kernel id i is the vertex at rank i of
         # the peel order, so bit order == root branching order.
-        raw_rows = mat.row_ints()
+        raw_rows = adjacency_masks(adj)
         order = peel_order(
             [r.bit_count() for r in raw_rows],
-            lambda v: _iter_bits(raw_rows[v]))
+            lambda v: mask_ids(raw_rows[v]))
         rank = [0] * n
         for i, v in enumerate(order):
             rank[v] = i
         rows = [0] * n
         for v in range(n):
             row = 0
-            for u in _iter_bits(raw_rows[v]):
+            for u in mask_ids(raw_rows[v]):
                 row |= 1 << rank[u]
             rows[rank[v]] = row
         counters.words_scanned += n * self._wpr  # one packed pass per row
@@ -169,18 +173,3 @@ class BitMCSubgraphSolver:
         finally:
             counters.words_scanned += branched * self._wpr
 
-
-def max_clique_bits(mat: BitMatrix, lower_bound: int = 0,
-                    counters: Counters | None = None,
-                    budget: WorkBudget | None = None) -> list[int] | None:
-    """Convenience wrapper around :class:`BitMCSubgraphSolver`."""
-    return BitMCSubgraphSolver(counters=counters,
-                               budget=budget).solve(mat, lower_bound)
-
-
-def _iter_bits(x: int):
-    """Yield set-bit positions of ``x``, ascending."""
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b

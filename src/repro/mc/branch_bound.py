@@ -28,7 +28,7 @@ def peel_order(degrees: list[int], neighbors) -> list[int]:
     most one per peeled neighbor.
 
     ``neighbors`` maps a vertex to an iterable of its neighbor ids;
-    shared by the set-adjacency and bit-matrix backends.
+    shared by the set-adjacency and bit-parallel backends.
     """
     n = len(degrees)
     deg = list(degrees)
@@ -126,9 +126,3 @@ class MCSubgraphSolver:
                 counters.incumbent_updates += 1
             clique.pop()
 
-
-def max_clique_subgraph(adj: list[set], lower_bound: int = 0,
-                        counters: Counters | None = None,
-                        budget: WorkBudget | None = None) -> list[int] | None:
-    """Convenience wrapper around :class:`MCSubgraphSolver`."""
-    return MCSubgraphSolver(counters=counters, budget=budget).solve(adj, lower_bound)

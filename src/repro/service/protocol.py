@@ -21,7 +21,8 @@ and language-agnostic.  Requests carry an ``op``:
 
 Responses always carry ``"ok"``; protocol-level problems come back as
 ``{"ok": false, "error_type": "ProtocolError", ...}`` — the server never
-drops a connection in response to a bad line.
+drops a connection in response to a bad line.  A request line is at most
+:data:`MAX_LINE_BYTES` bytes, its newline included.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from ..errors import ProtocolError
 
 #: Known operations, for early rejection with a helpful message.
 OPS = ("solve", "metrics", "ping", "shutdown")
+
+#: Longest request line the server reads, newline included (1 MiB: room
+#: for tens of thousands of inline edges).  A longer line is answered
+#: with a ProtocolError and skipped.
+MAX_LINE_BYTES = 1 << 20
 
 #: Keys a solve request may carry (anything else is a client bug worth
 #: flagging loudly rather than silently ignoring).
@@ -61,6 +67,8 @@ def decode_line(line: bytes | str) -> dict:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProtocolError("request nests too deeply") from exc
     if not isinstance(message, dict):
         raise ProtocolError("request must be a JSON object")
     return message

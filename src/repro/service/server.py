@@ -19,7 +19,8 @@ from pathlib import Path
 
 from ..errors import ProtocolError, ReproError
 from .jobs import JobSpec
-from .protocol import decode_line, encode_message, validate_request
+from .protocol import (MAX_LINE_BYTES, decode_line, encode_message,
+                       validate_request)
 from .service import CliqueService
 
 
@@ -74,9 +75,23 @@ def handle_request(service: CliqueService, message: dict) -> tuple[dict, bool]:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def _read_line(self) -> bytes:
+        """Next request line; raises ProtocolError past MAX_LINE_BYTES,
+        after reading the rest of that line, so the next one parses."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) <= MAX_LINE_BYTES:
+            return line
+        while line and not line.endswith(b"\n"):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        raise ProtocolError(
+            f"request line exceeds {MAX_LINE_BYTES} bytes")
+
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        for line in self.rfile:
+        while True:
             try:
+                line = self._read_line()
+                if not line:
+                    return
                 message = decode_line(line)
             except ProtocolError as exc:
                 response, stop = _error(exc), False

@@ -1,11 +1,11 @@
 """Kernel backend selection: config plumbing, end-to-end equivalence.
 
 ``LazyMCConfig.kernel_backend`` routes the filter funnel's MC arm to the
-sets kernel, the bit-parallel kernel, or a density-gated auto choice.
-These tests pin the contract: all three backends return the same omega
-with valid cliques, the default stays bit-identical to the sets-only
-code path (``words_scanned == 0``), and the knob threads through the
-service job layer and the CLI unchanged.
+sets kernel or the bit-parallel kernel.  These tests pin the contract:
+both backends return the same omega with valid cliques, the default
+stays bit-identical to the sets-only code path (``words_scanned == 0``),
+the knob threads through the service job layer and the CLI unchanged,
+and every layer rejects the retired ``"auto"`` value.
 """
 
 import pytest
@@ -21,22 +21,14 @@ class TestConfigValidation:
         cfg = LazyMCConfig()
         assert cfg.kernel_backend == "sets"
 
-    @pytest.mark.parametrize("backend", ["sets", "bits", "auto"])
+    @pytest.mark.parametrize("backend", ["sets", "bits"])
     def test_valid_backends(self, backend):
         assert LazyMCConfig(kernel_backend=backend).kernel_backend == backend
 
     def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            LazyMCConfig(kernel_backend="simd")
-
-    def test_bad_bits_min_size_rejected(self):
-        with pytest.raises(ValueError):
-            LazyMCConfig(bits_min_size=-1)
-
-    @pytest.mark.parametrize("density", [-0.1, 1.1])
-    def test_bad_bits_min_density_rejected(self, density):
-        with pytest.raises(ValueError):
-            LazyMCConfig(bits_min_density=density)
+        for backend in ("simd", "auto"):
+            with pytest.raises(ValueError):
+                LazyMCConfig(kernel_backend=backend)
 
 
 class TestEndToEndEquivalence:
@@ -44,7 +36,7 @@ class TestEndToEndEquivalence:
     def test_backends_agree_random(self, seed):
         g = random_graph(40, 0.25 + 0.1 * (seed % 3), seed=seed * 13 + 1)
         results = {backend: lazymc(g, LazyMCConfig(kernel_backend=backend))
-                   for backend in ("sets", "bits", "auto")}
+                   for backend in ("sets", "bits")}
         omegas = {b: r.omega for b, r in results.items()}
         assert len(set(omegas.values())) == 1, omegas
         for r in results.values():
@@ -70,24 +62,6 @@ class TestEndToEndEquivalence:
         if r.funnel.searched:
             assert r.counters.words_scanned > 0
 
-    def test_auto_stays_sets_below_size_floor(self):
-        # Candidate subgraphs on this instance are far below the default
-        # bits_min_size, so "auto" must behave exactly like "sets".
-        g = random_graph(40, 0.3, seed=4)
-        base = lazymc(g, LazyMCConfig(kernel_backend="sets"))
-        auto = lazymc(g, LazyMCConfig(kernel_backend="auto",
-                                      bits_min_size=10**6))
-        assert auto.counters.words_scanned == 0
-        assert auto.counters.work == base.counters.work
-
-    def test_auto_switches_with_zero_thresholds(self):
-        g = random_graph(40, 0.6, seed=4)
-        r = lazymc(g, LazyMCConfig(kernel_backend="auto",
-                                   bits_min_size=0, bits_min_density=0.0))
-        assert r.verify(g)
-        if r.funnel.searched:
-            assert r.counters.words_scanned > 0
-
 
 class TestServicePlumbing:
     def test_jobspec_accepts_kernel(self):
@@ -95,10 +69,11 @@ class TestServicePlumbing:
         assert spec.solver_config().kernel_backend == "bits"
 
     def test_jobspec_rejects_bad_kernel(self):
-        with pytest.raises(ValueError):
-            JobSpec(target="CAroad", config={"kernel_backend": "gpu"})
+        for kernel in ("gpu", "auto"):
+            with pytest.raises(ValueError):
+                JobSpec(target="CAroad", config={"kernel_backend": kernel})
 
-    @pytest.mark.parametrize("kernel", ["sets", "bits", "auto"])
+    @pytest.mark.parametrize("kernel", ["sets", "bits"])
     def test_solve_graph_passes_kernel(self, kernel):
         from repro.datasets import load
         from repro.service.worker import solve_graph
@@ -109,7 +84,7 @@ class TestServicePlumbing:
 
 
 class TestCLI:
-    @pytest.mark.parametrize("kernel", ["bits", "auto"])
+    @pytest.mark.parametrize("kernel", ["bits"])
     def test_solve_kernel_flag(self, kernel, capsys):
         from repro.cli import main
 
@@ -119,5 +94,6 @@ class TestCLI:
     def test_bad_kernel_flag_exits(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["solve", "WormNet", "--kernel", "gpu"])
+        for kernel in ("gpu", "auto"):
+            with pytest.raises(SystemExit):
+                main(["solve", "WormNet", "--kernel", kernel])

@@ -98,11 +98,8 @@ class TestAblationConfigsExact:
         "tiny_hash_threshold": LazyMCConfig(hash_degree_threshold=1),
         "threads_4": LazyMCConfig(threads=4),
         "threads_32": LazyMCConfig(threads=32),
-        # Thresholds at zero so "auto" picks the bit kernel for every
-        # searched neighborhood (the default size threshold of 64 never
-        # fires on graphs this small).
-        "kernel_auto": LazyMCConfig(kernel_backend="auto", bits_min_size=0,
-                                    bits_min_density=0.0),
+        # The bit kernel solves every searched neighborhood.
+        "kernel_bits": LazyMCConfig(kernel_backend="bits"),
     }
 
     #: Fields no entry above varies, each covered by its own suite.

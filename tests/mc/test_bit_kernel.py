@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import BudgetExceeded
 from repro.instrument import Counters, WorkBudget
-from repro.intersect import BitMatrix
-from repro.mc import BitMCSubgraphSolver, MCSubgraphSolver, max_clique_bits
+from repro.mc import BitMCSubgraphSolver, MCSubgraphSolver
 
 
 def _random_adj(n: int, p: float, seed: int) -> list[set]:
@@ -43,8 +42,7 @@ class TestBitsVsSetsEquivalence:
     def test_same_size_and_valid(self, n, p, seed, lb):
         adj = _random_adj(n, p, seed)
         sets_found = MCSubgraphSolver().solve(adj, lower_bound=lb)
-        bits_found = BitMCSubgraphSolver().solve(
-            BitMatrix.from_sets(adj), lower_bound=lb)
+        bits_found = BitMCSubgraphSolver().solve(adj, lower_bound=lb)
         if sets_found is None:
             assert bits_found is None
         else:
@@ -59,17 +57,17 @@ class TestBitsVsSetsEquivalence:
         for seed in range(4):
             adj = _random_adj(24, p, seed * 31 + 5)
             sets_found = MCSubgraphSolver().solve(adj)
-            bits_found = BitMCSubgraphSolver().solve(BitMatrix.from_sets(adj))
+            bits_found = BitMCSubgraphSolver().solve(adj)
             assert len(bits_found) == len(sets_found)
             assert _is_clique(adj, bits_found)
 
     def test_empty_matrix(self):
-        assert BitMCSubgraphSolver().solve(BitMatrix(0)) is None
+        assert BitMCSubgraphSolver().solve([]) is None
 
-    def test_wrapper(self):
+    def test_charges_words(self):
         adj = _random_adj(16, 0.6, 9)
         counters = Counters()
-        found = max_clique_bits(BitMatrix.from_sets(adj), counters=counters)
+        found = BitMCSubgraphSolver(counters=counters).solve(adj)
         assert _is_clique(adj, found)
         assert counters.words_scanned > 0
 
@@ -81,7 +79,7 @@ class TestBitsBudgetParity:
         budget = WorkBudget(max_work=5, counters=counters)
         solver = BitMCSubgraphSolver(counters=counters, budget=budget)
         with pytest.raises(BudgetExceeded):
-            solver.solve(BitMatrix.from_sets(adj))
+            solver.solve(adj)
         assert counters.work > 5
 
     def test_both_backends_trip_on_tiny_budget(self):
@@ -89,22 +87,17 @@ class TestBitsBudgetParity:
         # backends must honor the same budget discipline: a budget far
         # below either backend's full-solve cost trips both.
         adj = _random_adj(40, 0.7, 11)
-        for make in (
-            lambda c, b: (MCSubgraphSolver(counters=c, budget=b), adj),
-            lambda c, b: (BitMCSubgraphSolver(counters=c, budget=b),
-                          BitMatrix.from_sets(adj)),
-        ):
+        for solver_cls in (MCSubgraphSolver, BitMCSubgraphSolver):
             counters = Counters()
             budget = WorkBudget(max_work=50, counters=counters)
-            solver, problem = make(counters, budget)
             with pytest.raises(BudgetExceeded):
-                solver.solve(problem)
+                solver_cls(counters=counters, budget=budget).solve(adj)
 
     def test_ample_budget_does_not_trip(self):
         adj = _random_adj(24, 0.5, 2)
         counters = Counters()
         budget = WorkBudget(max_work=10**9, counters=counters)
         base = MCSubgraphSolver().solve(adj)
-        found = BitMCSubgraphSolver(counters=counters, budget=budget).solve(
-            BitMatrix.from_sets(adj))
+        found = BitMCSubgraphSolver(counters=counters,
+                                    budget=budget).solve(adj)
         assert len(found) == len(base)

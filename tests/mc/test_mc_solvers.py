@@ -10,7 +10,7 @@ from repro.graph.subgraph import induced_adjacency_sets
 from repro.instrument import Counters, WorkBudget
 from repro.mc import (
     greedy_coloring, color_sort, chromatic_upper_bound,
-    max_clique_subgraph, MCSubgraphSolver,
+    MCSubgraphSolver,
     bron_kerbosch_pivot, enumerate_maximal_cliques,
 )
 from repro.mc.bronkerbosch import max_clique_by_enumeration
@@ -91,24 +91,24 @@ class TestBronKerbosch:
 class TestMCBranchBound:
     def test_complete_graph(self):
         adj = adj_of(complete_graph(7))
-        clique = max_clique_subgraph(adj)
+        clique = MCSubgraphSolver().solve(adj)
         assert sorted(clique) == list(range(7))
 
     def test_empty_graph(self):
-        assert max_clique_subgraph([]) is None
-        assert max_clique_subgraph([set(), set()]) is not None  # single vertex beats lb=0
+        assert MCSubgraphSolver().solve([]) is None
+        assert MCSubgraphSolver().solve([set(), set()]) is not None  # single vertex beats lb=0
 
     def test_lower_bound_respected(self):
         adj = adj_of(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-        assert max_clique_subgraph(adj, lower_bound=3) is None
-        assert sorted(max_clique_subgraph(adj, lower_bound=2)) == [0, 1, 2]
+        assert MCSubgraphSolver().solve(adj, 3) is None
+        assert sorted(MCSubgraphSolver().solve(adj, 2)) == [0, 1, 2]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle(self, seed):
         g = random_graph(16, 0.45, seed=seed * 3 + 1)
         adj = adj_of(g)
         expected = len(brute_force_max_clique(g))
-        clique = max_clique_subgraph(adj)
+        clique = MCSubgraphSolver().solve(adj)
         assert clique is not None
         assert len(clique) == expected
         assert is_clique(adj, clique)
@@ -120,7 +120,7 @@ class TestMCBranchBound:
         g = random_graph(n, p, seed=seed)
         adj = adj_of(g)
         omega = len(max_clique_by_enumeration(adj)) if g.m else min(1, n)
-        result = max_clique_subgraph(adj, lower_bound=lb)
+        result = MCSubgraphSolver().solve(adj, lb)
         if omega > lb:
             assert result is not None
             assert len(result) == omega
@@ -131,7 +131,7 @@ class TestMCBranchBound:
     def test_counters_accumulate(self):
         g = random_graph(15, 0.5, seed=9)
         c = Counters()
-        max_clique_subgraph(adj_of(g), counters=c)
+        MCSubgraphSolver(counters=c).solve(adj_of(g))
         assert c.branch_nodes > 0
         assert c.colorings > 0
 

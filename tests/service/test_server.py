@@ -1,5 +1,7 @@
 """Tests for the JSON-lines socket server and protocol."""
 
+import socket
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -12,7 +14,7 @@ from repro.service import (
     encode_message,
     handle_request,
 )
-from repro.service.protocol import validate_request
+from repro.service.protocol import MAX_LINE_BYTES, validate_request
 
 TRIANGLE = [[0, 1], [1, 2], [0, 2]]
 
@@ -46,6 +48,10 @@ class TestProtocol:
         for junk in (b"", b"not json\n", b'["a", "list"]\n'):
             with pytest.raises(ProtocolError):
                 decode_line(junk)
+
+    def test_decode_maps_deep_nesting_to_protocol_error(self):
+        with pytest.raises(ProtocolError, match="nests too deeply"):
+            decode_line(b"[" * 200000)
 
     def test_validate_rejects_unknown_op(self):
         with pytest.raises(ProtocolError):
@@ -91,10 +97,11 @@ class TestHandleRequest:
         ({"config": {"max_seconds": "x"}}, "ValueError"),
         ({"config": {"filter_rounds": 3}}, "ValueError"),
         ({"config": [["threads", 2]]}, "ValueError"),
+        ({"config": {"kernel_backend": "auto"}}, "ValueError"),
         ({"use_cache": "no"}, "ProtocolError"),
     ], ids=["threads-float", "max_work-negative", "max_work-str",
             "max_seconds-negative", "max_seconds-str", "config-unknown-key",
-            "config-not-object", "use_cache-str"])
+            "config-not-object", "kernel-auto", "use_cache-str"])
     def test_bad_solve_rejected_at_admission(self, service, message,
                                              error_type):
         response, stop = handle_request(
@@ -161,7 +168,7 @@ class TestSocketRoundTrip:
     def test_config_round_trip(self, server):
         with client_for(server) as client:
             response = client.solve("WormNet", config={
-                "kernel_backend": "auto", "engine": "seq",
+                "kernel_backend": "bits", "engine": "seq",
                 "max_work": 10**6})
             assert response["ok"] and response["exact"]
             assert response["omega"] == 24
@@ -178,6 +185,26 @@ class TestSocketRoundTrip:
             bad = decode_line(client._reader.readline())
             assert not bad["ok"] and bad["error_type"] == "ProtocolError"
             assert client.ping()["ok"]      # same connection still works
+
+    @pytest.mark.parametrize("line", [
+        b"[" * 200000 + b"\n",
+        b'{"op": "ping", "pad": "' + b"x" * MAX_LINE_BYTES + b'"}\n',
+    ], ids=["nested", "oversized"])
+    def test_bad_line_gets_typed_reply(self, server, line):
+        with client_for(server) as client:
+            client._sock.sendall(line)
+            bad = decode_line(client._reader.readline())
+            assert not bad["ok"] and bad["error_type"] == "ProtocolError"
+            assert client.ping()["ok"]      # same connection still works
+
+    def test_truncated_line_gets_typed_reply(self, server):
+        with client_for(server) as client:
+            client._sock.sendall(b'{"op": "solve", "target": "Worm')
+            client._sock.shutdown(socket.SHUT_WR)
+            bad = decode_line(client._reader.readline())
+            assert not bad["ok"] and bad["error_type"] == "ProtocolError"
+        with client_for(server) as client:
+            assert client.ping()["ok"]
 
     def test_shutdown_op_stops_server(self, server):
         with client_for(server) as client:
