@@ -17,9 +17,10 @@ from ..errors import BudgetExceeded
 from ..graph.csr import CSRGraph
 from ..graph.kcore import peeling_order
 from ..graph.ordering import VertexOrder
-from ..graph.complement import complement_adjacency_sets
+from ..graph.complement import complement_masks
+from ..graph.subgraph import induced_masks
 from ..instrument import Counters, WorkBudget
-from ..vc.branch_bound import decide_kvc
+from ..vc.branch_bound import decide_kvc_masks
 from .common import BaselineResult, Stopwatch
 
 
@@ -58,26 +59,20 @@ def _find_w_clique(graph: CSRGraph, core: np.ndarray, rank: np.ndarray,
             budget.check()
         nbrs = graph.neighbors(v)
         counters.elements_scanned += len(nbrs)
-        cand = [int(u) for u in nbrs if rank[u] > rank[v] and eligible[u]]
+        cand = nbrs[(rank[nbrs] > rank[v]) & eligible[nbrs]]
         if len(cand) < w - 1:
             continue
-        index = {u: i for i, u in enumerate(cand)}
-        adj: list[set] = [set() for _ in cand]
-        for i, u in enumerate(cand):
-            row = graph.neighbors(u)
-            counters.elements_scanned += len(row)
-            for x in row:
-                j = index.get(int(x))
-                if j is not None and j != i:
-                    adj[i].add(j)
-        comp = complement_adjacency_sets(adj)
+        cand_list = cand.tolist()
+        rows = [graph.neighbors(u) for u in cand_list]
+        counters.elements_scanned += sum(map(len, rows))
+        comp = complement_masks(induced_masks(rows, cand))
         counters.kvc_subsolves += 1
-        cover = decide_kvc(comp, len(cand) - (w - 1), counters=counters,
-                           budget=budget)
+        cover = decide_kvc_masks(comp, [i for i, m in enumerate(comp) if m],
+                                 len(cand) - (w - 1), counters, budget)
         if cover is not None:
             in_cover = set(cover)
-            clique = [v] + [cand[i] for i in range(len(cand)) if i not in in_cover]
-            return clique
+            return [v] + [u for i, u in enumerate(cand_list)
+                          if i not in in_cover]
     return None
 
 

@@ -37,7 +37,8 @@ from ..intersect import (HopscotchSet, intersect_size_gt_bool,
 from ..intersect.early_exit import EarlyExitConfig, SortedArraySet
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
-from ..vc.clique_via_vc import max_clique_via_vc
+from ..vc.clique_via_vc import max_clique_via_vc_masks
+from ..vc.kernelization import mask_ids
 from .harness import BenchConfig
 from .reporting import render_table
 
@@ -124,14 +125,16 @@ def run_early_exit_benefit(n: int = 256, universe: int = 4096,
 ARM_RACE_INPUTS = ("HS-CX", "mouse", "gnp-n120-p0.7")
 _GNP_SEED = 2036044446
 
-#: The three sub-solver arms, each called as ``solve(adj, bound, counters)``.
+#: The three sub-solver arms, each called as ``solve(masks, bound,
+#: counters)`` and each taking the masks as ``NeighborSearch`` hands them
+#: over (the sets arm pays for its sets).
 _ARMS = (
-    ("kvc", lambda adj, bound, c: max_clique_via_vc(
-        adj, lower_bound=bound, counters=c)),
-    ("bits", lambda adj, bound, c: BitMCSubgraphSolver(
-        counters=c).solve(adj, bound)),
-    ("sets", lambda adj, bound, c: MCSubgraphSolver(
-        counters=c).solve(adj, bound)),
+    ("kvc", lambda masks, bound, c: max_clique_via_vc_masks(
+        masks, lower_bound=bound, counters=c)),
+    ("bits", lambda masks, bound, c: BitMCSubgraphSolver(
+        counters=c).solve(masks, bound)),
+    ("sets", lambda masks, bound, c: MCSubgraphSolver(
+        counters=c).solve([set(mask_ids(m)) for m in masks], bound)),
 )
 
 
@@ -145,26 +148,26 @@ def record_dispatched(graph):
     """Solve ``graph`` at the default config; return
     ``(neighborhoods, result)``.
 
-    ``neighborhoods`` lists ``(adj, bound)`` for every neighborhood the
+    ``neighborhoods`` lists ``(masks, bound)`` for every neighborhood the
     solve handed to a sub-solver, in dispatch order.  They are recorded
-    by wrapping :func:`repro.core.filtering._induced_adjacency`, the one
+    by wrapping :func:`repro.core.filtering._induced_masks`, the one
     extraction every arm reads, for this solve only: the solver itself
     has no hook.  The extraction's ``min_core`` is the incumbent size,
     so the sub-solver's bound is one less.
     """
-    recorded: list[tuple[list[set], int]] = []
-    extract = filtering._induced_adjacency
+    recorded: list[tuple[list[int], int]] = []
+    extract = filtering._induced_masks
 
     def recording(lazy, candidates, min_core, counters):
-        adj = extract(lazy, candidates, min_core, counters)
-        recorded.append((adj, min_core - 1))
-        return adj
+        masks = extract(lazy, candidates, min_core, counters)
+        recorded.append((masks, min_core - 1))
+        return masks
 
-    filtering._induced_adjacency = recording
+    filtering._induced_masks = recording
     try:
         result = lazymc(graph, LazyMCConfig())
     finally:
-        filtering._induced_adjacency = extract
+        filtering._induced_masks = extract
     return recorded, result
 
 
@@ -187,9 +190,10 @@ def run_arm_race(inputs=ARM_RACE_INPUTS) -> list[dict]:
             raise RuntimeError(
                 f"{name}: recorded {len(dispatched)} neighborhoods, "
                 f"funnel.searched is {result.funnel.searched}")
-        for adj, bound in dispatched:
-            k = len(adj)
-            density = sum(map(len, adj)) / (k * (k - 1)) if k > 1 else 1.0
+        for masks, bound in dispatched:
+            k = len(masks)
+            density = (sum(m.bit_count() for m in masks) / (k * (k - 1))
+                       if k > 1 else 1.0)
             decile = min(int(density * 10), 9)
             size = "k>=64" if k >= 64 else "k<64"
             row = rows.get((order, decile, size))
@@ -206,7 +210,7 @@ def run_arm_race(inputs=ARM_RACE_INPUTS) -> list[dict]:
             for arm, solve in _ARMS:
                 counters = Counters()
                 t0 = time.perf_counter()
-                found = solve(adj, bound, counters)
+                found = solve(masks, bound, counters)
                 row[f"wall_{arm}"] += time.perf_counter() - t0
                 row[f"work_{arm}"] += counters.work
                 row[f"branch_nodes_{arm}"] += counters.branch_nodes

@@ -2,10 +2,11 @@
 
 ``lazymc bench <artifact> --output dir/`` writes self-describing JSON; this
 module diffs two such exports — a baseline and a candidate — and reports
-per-row drift on the numeric columns.  Intended for CI: export once on a
+per-row drift on the numeric columns, plus any numeric column a baseline
+row has and the candidate's row lacks.  Intended for CI: export once on a
 known-good revision, re-export on a change, fail when work counts move
-beyond tolerance (wall-clock fields are ignored by default because they
-are machine-dependent).
+beyond tolerance or stop being emitted (wall-clock fields are ignored by
+default because they are machine-dependent).
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ class RegressionReport:
     drifts: list[Drift] = field(default_factory=list)
     missing_rows: list[str] = field(default_factory=list)
     new_rows: list[str] = field(default_factory=list)
+    #: ``row.column`` of each compared column the candidate row lacks.
+    missing_columns: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when nothing moved beyond tolerance."""
-        return not self.drifts and not self.missing_rows and not self.new_rows
+        """True when nothing moved beyond tolerance or went missing."""
+        return not (self.drifts or self.missing_rows or self.new_rows
+                    or self.missing_columns)
 
     def __str__(self) -> str:
         if self.clean:
@@ -66,6 +70,9 @@ class RegressionReport:
             lines.append(f"  rows missing: {', '.join(self.missing_rows)}")
         if self.new_rows:
             lines.append(f"  rows new: {', '.join(self.new_rows)}")
+        if self.missing_columns:
+            lines.append(
+                f"  columns missing: {', '.join(self.missing_columns)}")
         return "\n".join(lines)
 
 
@@ -132,9 +139,10 @@ def compare(baseline_path: str | Path, candidate_path: str | Path,
     """Diff two exported artifact files.
 
     Numeric fields whose relative change exceeds ``rel_tolerance`` are
-    reported as drifts.  Deterministic work counters should be *exactly*
-    stable across runs on the same code, so the default tolerance mainly
-    absorbs float formatting.
+    reported as drifts, and compared fields of a baseline row that its
+    candidate row lacks as missing columns.  Deterministic work counters
+    should be *exactly* stable across runs on the same code, so the
+    default tolerance mainly absorbs float formatting.
     """
     base = json.loads(Path(baseline_path).read_text())
     cand = json.loads(Path(candidate_path).read_text())
@@ -151,6 +159,8 @@ def compare(baseline_path: str | Path, candidate_path: str | Path,
     for key in sorted(set(base_rows) & set(cand_rows)):
         b = dict(_numeric_items(base_rows[key], include_time))
         c = dict(_numeric_items(cand_rows[key], include_time))
+        report.missing_columns += [f"{key}.{column}"
+                                   for column in sorted(set(b) - set(c))]
         for column in sorted(set(b) & set(c)):
             bv, cv = b[column], c[column]
             scale = max(abs(bv), abs(cv), 1e-12)

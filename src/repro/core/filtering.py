@@ -16,6 +16,11 @@ cheaply* before any branching happens:
    exceeds φ, solve it as k-vertex cover on the complement, else as direct
    MC branch and bound.
 
+The surviving subgraph is extracted once, as one Python-int bitmask per
+survivor (:func:`~repro.graph.subgraph.induced_masks`), and every arm
+reads those masks: k-VC builds its complement from them, the bit kernel
+relabels them, and the sets MC arm turns them into sets.
+
 The per-stage survival counts form the Table III funnel.
 """
 
@@ -25,13 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graph.subgraph import induced_masks
 from ..instrument import Counters, WorkBudget
 from ..intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
 from ..parallel.incumbent import IncumbentView
 from ..trace.tracer import NULL_TRACER, Tracer
-from ..vc.clique_via_vc import max_clique_via_vc
+# The k-VC arm goes by ``max_clique_via_vc`` here: perfbench's ``kvc``
+# layer wraps this module's ``max_clique_via_vc``.
+from ..vc.clique_via_vc import max_clique_via_vc_masks as max_clique_via_vc
+from ..vc.kernelization import mask_ids
 from .config import LazyMCConfig
 from .lazygraph import LazyGraph
 
@@ -91,23 +100,19 @@ class FilterFunnel:
         }
 
 
-def _induced_adjacency(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
-                       counters: Counters) -> list[set]:
-    """Cut out G[N] as local-id set adjacency, each set filled in row order.
+def _induced_masks(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
+                   counters: Counters) -> list[int]:
+    """Cut out G[N] as one local-id bitmask per candidate.
 
-    Sub-solvers iterate these sets, and a set's iteration order follows
-    its insertion order.  This is the one extraction all three arms
-    read; ``bench micro``'s arm race records the dispatched traffic by
-    wrapping this module-level name, so callers look it up here.
+    Bit j of mask i is set iff ``candidates[j]`` neighbours
+    ``candidates[i]``; every row scanned is charged to
+    ``elements_scanned``.  This is the one extraction all three arms read;
+    ``bench micro``'s arm race records the dispatched traffic by wrapping
+    this module-level name, so callers look it up here.
     """
-    cand_list = candidates.tolist()
-    index = {u: i for i, u in enumerate(cand_list)}
-    adj: list[set] = []
-    for u in cand_list:
-        row = lazy.neighborhood_array(u, min_core)
-        counters.elements_scanned += len(row)
-        adj.append({index[w] for w in row.tolist() if w in index})
-    return adj
+    rows = [lazy.neighborhood_array(u, min_core) for u in candidates.tolist()]
+    counters.elements_scanned += sum(map(len, rows))
+    return induced_masks(rows, candidates)
 
 
 def _degree_filters(lazy: LazyGraph, cand: np.ndarray, cstar: int,
@@ -226,15 +231,15 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
     cand = np.asarray(survivors, dtype=np.int64)
 
     # One extraction for every arm; the density comes from m̂ (directed
-    # count over survivors) when a val round ran, else from the sets.
+    # count over survivors) when a val round ran, else from the masks.
     k = len(cand)
-    adj = _induced_adjacency(lazy, cand, cstar, counters)
+    masks = _induced_masks(lazy, cand, cstar, counters)
     if k <= 1:
         density = 1.0
     elif rounds >= 1:
         density = m_hat / (k * (k - 1))
     else:
-        density = sum(len(s) for s in adj) / (k * (k - 1))
+        density = sum(m.bit_count() for m in masks) / (k * (k - 1))
 
     # Line 14's dispatch, extended with the bit kernel.  The bit kernel
     # takes precedence over k-VC: "bits" means BBMC solves every searched
@@ -262,12 +267,14 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         if tracer.enabled else None
     try:
         if use_kvc:
-            found = max_clique_via_vc(adj, lower_bound=bound,
+            found = max_clique_via_vc(masks, lower_bound=bound,
                                       counters=counters, budget=budget)
         elif use_bits:
             found = BitMCSubgraphSolver(counters=counters,
-                                        budget=budget).solve(adj, bound)
+                                        budget=budget).solve(masks, bound)
         else:
+            # Ascending insertion: each set iterates as the rows did.
+            adj = [set(mask_ids(m)) for m in masks]
             found = MCSubgraphSolver(counters=counters,
                                      budget=budget).solve(adj, bound)
     finally:

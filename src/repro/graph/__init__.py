@@ -11,8 +11,9 @@ from .csr import CSRGraph
 from .builders import from_edges, from_adjacency, from_networkx, empty_graph, complete_graph
 from .kcore import coreness, degeneracy, peeling_order
 from .ordering import degeneracy_order, coreness_degree_order, VertexOrder, relabel_graph
-from .complement import complement
-from .subgraph import induced_subgraph, subgraph_density, induced_adjacency_sets
+from .complement import complement, complement_masks
+from .subgraph import (induced_subgraph, subgraph_density,
+                       induced_adjacency_sets, induced_masks)
 from .analysis import may_must_report, MayMustReport, clique_core_gap
 from .fingerprint import fingerprint, refine_colors
 from .metrics import GraphProfile, profile, triangle_count, global_clustering
@@ -32,8 +33,10 @@ __all__ = [
     "VertexOrder",
     "relabel_graph",
     "complement",
+    "complement_masks",
     "induced_subgraph",
     "induced_adjacency_sets",
+    "induced_masks",
     "subgraph_density",
     "may_must_report",
     "MayMustReport",

@@ -2,10 +2,11 @@
 
 The algorithmic-choice path solves dense subgraphs through the k-vertex-
 cover problem on the *complement*, which is sparse exactly when the
-subgraph is dense — the whole point of the choice.  The complement is only
-ever taken of small induced subgraphs (candidate sets), never of the input
-graph, so an O(n^2) construction is appropriate and is done with one
-vectorized ``setdiff1d`` per row.
+subgraph is dense — the whole point of the choice.  That path complements
+the candidate subgraph's bitmasks (:func:`complement_masks`), one int
+operation per vertex.  :func:`complement` is the CSR form for whole
+graphs, an O(n^2) construction done with one vectorized ``setdiff1d`` per
+row.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ def complement(graph: CSRGraph) -> CSRGraph:
     return CSRGraph(indptr, indices, validate=False)
 
 
-def complement_adjacency_sets(adj: list[set]) -> list[set]:
-    """Complement of a set-adjacency representation over ids ``0..n-1``."""
-    n = len(adj)
-    universe = set(range(n))
-    return [universe - adj[v] - {v} for v in range(n)]
+def complement_masks(masks: list[int]) -> list[int]:
+    """The complement of a simple graph given as one neighbourhood bitmask
+    per vertex (no mask holds its own bit): bit u of the result's mask v
+    is set iff u != v and bit u of ``masks[v]`` is not."""
+    full = (1 << len(masks)) - 1
+    return [full ^ m ^ (1 << v) for v, m in enumerate(masks)]

@@ -2,8 +2,9 @@
 
 ``NeighborSearch`` (Alg. 8) cuts out the subgraph induced by a filtered
 candidate set before handing it to the MC or k-VC sub-solver; the density of
-that subgraph drives the algorithmic choice (§IV-E).  Extraction is a
-vectorized membership test per candidate row followed by a relabel gather.
+that subgraph drives the algorithmic choice (§IV-E).  The sub-solvers read
+it as one Python-int bitmask per candidate (:func:`induced_masks`), built
+with a constant number of numpy calls per block of rows.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ import numpy as np
 
 from ..errors import GraphConstructionError
 from .csr import CSRGraph, INDPTR_DTYPE, VERTEX_DTYPE
+
+#: Cap on the transient k x k bit matrix :func:`induced_masks` scatters
+#: into: rows are packed in blocks of at most this many matrix bytes (one
+#: block up to k = 1024).
+_MASK_BLOCK_BYTES = 1 << 20
 
 
 def induced_subgraph(graph: CSRGraph, vertices: np.ndarray) -> CSRGraph:
@@ -56,6 +62,42 @@ def induced_adjacency_sets(graph: CSRGraph, vertices: np.ndarray) -> list[set]:
         nbrs = local[graph.neighbors(int(v))]
         adj.append(set(int(x) for x in nbrs[nbrs >= 0]))
     return adj
+
+
+def induced_masks(rows: list[np.ndarray],
+                  candidates: np.ndarray) -> list[int]:
+    """The subgraph induced by ``candidates`` as one bitmask per candidate.
+
+    ``rows[i]`` holds the neighbours of ``candidates[i]`` (distinct ids, in
+    any order); bit j of mask i is set iff ``candidates[j]`` is in
+    ``rows[i]``.  The candidates may come in any order.  Per block of rows
+    the work is a fixed number of numpy calls, whatever the row lengths:
+    positions by ``searchsorted`` over the sorted candidates, a scatter into
+    a bool matrix, ``packbits`` and one ``int.from_bytes`` per row.
+    """
+    cand = np.asarray(candidates, dtype=np.int64)
+    k = len(cand)
+    if k == 0:
+        return []
+    order = np.argsort(cand)
+    keys = cand[order]
+    width = (k + 7) // 8
+    step = max(1, _MASK_BLOCK_BYTES // k)
+    masks: list[int] = []
+    for start in range(0, k, step):
+        block = rows[start:start + step]
+        flat = np.concatenate(block)
+        pos = np.searchsorted(keys, flat)
+        np.minimum(pos, k - 1, out=pos)
+        hit = keys[pos] == flat
+        owner = np.repeat(np.arange(len(block)), [len(r) for r in block])
+        bits = np.zeros(len(block) * k, dtype=np.bool_)
+        bits[owner[hit] * k + order[pos[hit]]] = True
+        data = np.packbits(bits.reshape(len(block), k), axis=1,
+                           bitorder="little").tobytes()
+        masks.extend(int.from_bytes(data[i:i + width], "little")
+                     for i in range(0, len(data), width))
+    return masks
 
 
 def subgraph_density(graph: CSRGraph, vertices: np.ndarray) -> float:

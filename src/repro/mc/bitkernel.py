@@ -25,19 +25,18 @@ therefore report different (but each internally consistent) work totals —
 see docs/performance.md for the counter semantics.
 
 The solve contract mirrors :class:`~repro.mc.branch_bound.MCSubgraphSolver`
-exactly: ``solve(adj, lower_bound)`` takes the same ``list[set]``
-local-id adjacency, returns a clique strictly larger than the bound or
-``None`` (a proof), and honors ``WorkBudget`` ticks at every branch node.
-The kernel packs ``adj`` into one Python-int row mask per vertex with
-:func:`~repro.vc.kernelization.adjacency_masks`, the form the k-VC arm
-also works on: at subgraph scale (tens of 64-bit words) CPython's big-int
-bitwise ops run a whole row in one C call.
+except for the input: ``solve(masks, lower_bound)`` takes the local-id
+adjacency as one Python-int row mask per vertex — the masks
+``NeighborSearch`` extracts and the k-VC arm also works on — returns a
+clique strictly larger than the bound or ``None`` (a proof), and honors
+``WorkBudget`` ticks at every branch node.  At subgraph scale (tens of
+64-bit words) CPython's big-int bitwise ops run a whole row in one C call.
 """
 
 from __future__ import annotations
 
 from ..instrument import Counters, WorkBudget
-from ..vc.kernelization import adjacency_masks, mask_ids
+from ..vc.kernelization import mask_ids
 from .branch_bound import peel_order
 
 
@@ -54,13 +53,15 @@ class BitMCSubgraphSolver:
         self._best: list[int] = []
         self._best_size = 0
 
-    def solve(self, adj: list[set], lower_bound: int = 0) -> list[int] | None:
-        """Find a clique strictly larger than ``lower_bound`` in ``adj``.
+    def solve(self, masks: list[int],
+              lower_bound: int = 0) -> list[int] | None:
+        """Find a clique strictly larger than ``lower_bound`` in ``masks``.
 
-        Returns local ids of ``adj`` (or ``None`` as an exactness proof),
-        identical in meaning to the sets backend's return value.
+        Bit u of ``masks[v]`` is set iff u and v are adjacent.  Returns
+        local ids (or ``None`` as an exactness proof), identical in meaning
+        to the sets backend's return value.
         """
-        n = len(adj)
+        n = len(masks)
         if n == 0:
             return None
         counters = self.counters
@@ -68,17 +69,16 @@ class BitMCSubgraphSolver:
 
         # Degeneracy relabelling: kernel id i is the vertex at rank i of
         # the peel order, so bit order == root branching order.
-        raw_rows = adjacency_masks(adj)
         order = peel_order(
-            [r.bit_count() for r in raw_rows],
-            lambda v: mask_ids(raw_rows[v]))
+            [r.bit_count() for r in masks],
+            lambda v: mask_ids(masks[v]))
         rank = [0] * n
         for i, v in enumerate(order):
             rank[v] = i
         rows = [0] * n
         for v in range(n):
             row = 0
-            for u in mask_ids(raw_rows[v]):
+            for u in mask_ids(masks[v]):
                 row |= 1 << rank[u]
             rows[rank[v]] = row
         counters.words_scanned += n * self._wpr  # one packed pass per row

@@ -7,20 +7,26 @@ is a branch-and-bound on the highest-degree vertex with the Buss kernel and
 degree-0/1/2 kernelization rules (non-folding cases only, as in the paper),
 falling back to a polynomial algorithm once the maximum degree drops to 2.
 This mirrors the solver used by dOmega (Walteros & Buchanan).  A greedy
-clique-cover lower bound prunes the search, which runs on int bitmasks.
+clique-cover lower bound prunes the search, which runs on int bitmasks:
+the complement's masks are built once per neighbourhood and read by every
+probe.
 """
 
 from .kernelization import kernelize, KernelResult
 from .paths_cycles import vc_paths_and_cycles
-from .branch_bound import decide_kvc, minimum_vertex_cover
-from .clique_via_vc import max_clique_via_vc, clique_exists_via_vc
+from .branch_bound import decide_kvc, decide_kvc_masks, minimum_vertex_cover
+from .clique_via_vc import (
+    clique_exists_via_vc, max_clique_via_vc, max_clique_via_vc_masks,
+)
 
 __all__ = [
     "kernelize",
     "KernelResult",
     "vc_paths_and_cycles",
     "decide_kvc",
+    "decide_kvc_masks",
     "minimum_vertex_cover",
     "max_clique_via_vc",
+    "max_clique_via_vc_masks",
     "clique_exists_via_vc",
 ]

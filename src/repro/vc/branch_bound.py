@@ -6,17 +6,18 @@ Kernelization runs at every node; when the maximum degree reaches 2 the
 polynomial path/cycle solver closes the instance.  A greedy clique-cover
 lower bound prunes nodes whose residual budget cannot cover the cliques.
 
-The search runs on Python-int bitmasks built once per call: one
-neighbourhood mask per vertex, shared by every node, and a node is just
-``(alive, k)``.  A vertex's degree is ``(masks[v] & alive).bit_count()``,
+The search runs on Python-int bitmasks: one neighbourhood mask per
+vertex, built once by the caller and shared by every node, and a node is
+just ``(alive, k)``.  A vertex's degree is ``(masks[v] & alive).bit_count()``,
 the first branch is ``alive`` without v and the second ``alive`` without
 N(v), so no set or list is copied.  Every choice (kernel scan, branching
 vertex, bound) goes by degree and id, so the cover and the counters do not
 depend on set iteration order.
 
-The decision form ``decide_kvc`` is what the clique reduction binary-search
-consumes; ``minimum_vertex_cover`` wraps it in a linear search for tests
-and the dOmega baseline.
+The decision form ``decide_kvc_masks`` is what the clique reduction's binary
+search and the dOmega baseline consume, on complement masks they build
+once; ``decide_kvc`` is its set-adjacency form, and ``minimum_vertex_cover``
+wraps that in a binary search over k.
 """
 
 from __future__ import annotations
@@ -59,16 +60,20 @@ def clique_cover_bound(masks: list[int], alive: int, verts: list[int],
     return bound
 
 
-def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
-               budget: WorkBudget | None = None) -> list[int] | None:
+def decide_kvc_masks(masks: list[int], verts: list[int], k: int,
+                     counters: Counters | None = None,
+                     budget: WorkBudget | None = None) -> list[int] | None:
     """Return a vertex cover of size <= k, or ``None`` if none exists.
 
-    Exact: a ``None`` answer proves the minimum vertex cover exceeds k.
+    The instance is given as neighbourhood bitmasks, one per vertex, and
+    ``verts`` lists ascending every vertex whose mask is not empty.  The
+    masks are read, never written, so a caller can reuse them (and the
+    list) across calls.  Exact: a ``None`` answer proves the minimum vertex
+    cover exceeds k.
     """
     if k < 0:
         return None
-    n = len(adj)
-    masks = adjacency_masks(adj)
+    n = len(masks)
 
     def search(alive: int, k: int, verts: list[int]) -> list[int] | None:
         # ``verts`` is the parent's residual vertex list, a superset of
@@ -109,11 +114,19 @@ def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
             return forced + mask_ids(nbrs) + res
         return None
 
-    result = search((1 << n) - 1, k, [v for v in range(n) if adj[v]])
+    result = search((1 << n) - 1, k, verts)
     if result is None:
         return None
     # Deduplicate while preserving determinism.
     return sorted(set(result))
+
+
+def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
+               budget: WorkBudget | None = None) -> list[int] | None:
+    """:func:`decide_kvc_masks` on set adjacency (``adj`` is not mutated)."""
+    masks = adjacency_masks(adj)
+    return decide_kvc_masks(masks, [v for v, m in enumerate(masks) if m], k,
+                            counters, budget)
 
 
 def minimum_vertex_cover(adj: list[set], counters: Counters | None = None,

@@ -8,13 +8,38 @@ sparse instances.  Like dOmega, a binary search over plausible clique sizes
 drives repeated k-VC decision calls — but applied to a single neighborhood
 (the paper's refinement), with the incumbent clique size as the lower end
 of the range.
+
+The reduction works on Python-int bitmasks: the complement masks and their
+vertex list are built once per neighbourhood, and every probe of the binary
+search decides on those same masks.  ``max_clique_via_vc_masks`` is the
+form ``NeighborSearch`` calls; ``max_clique_via_vc`` and
+``clique_exists_via_vc`` take set adjacency.
 """
 
 from __future__ import annotations
 
-from ..graph.complement import complement_adjacency_sets
+from ..graph.complement import complement_masks
 from ..instrument import Counters, WorkBudget
-from .branch_bound import decide_kvc
+from .branch_bound import decide_kvc_masks
+from .kernelization import adjacency_masks
+
+
+def _probe(comp: list[int], verts: list[int], size: int,
+           counters: Counters | None,
+           budget: WorkBudget | None) -> list[int] | None:
+    """A clique of at least ``size`` vertices from one k-VC decision on the
+    complement ``comp`` (``verts`` lists its vertices of positive degree)."""
+    n = len(comp)
+    if size <= 0:
+        return []
+    if size > n:
+        return None
+    cover = decide_kvc_masks(comp, verts, n - size, counters, budget)
+    if cover is None:
+        return None
+    in_cover = set(cover)
+    # decide_kvc may return a smaller cover than k, giving a larger clique.
+    return [v for v in range(n) if v not in in_cover]
 
 
 def clique_exists_via_vc(adj: list[set], size: int,
@@ -24,40 +49,36 @@ def clique_exists_via_vc(adj: list[set], size: int,
 
     Decides via one k-VC call on the complement with k = n - size.
     """
-    n = len(adj)
     if size <= 0:
         return []
-    if size > n:
-        return None
-    comp = complement_adjacency_sets(adj)
-    cover = decide_kvc(comp, n - size, counters=counters, budget=budget)
-    if cover is None:
-        return None
-    in_cover = set(cover)
-    clique = [v for v in range(n) if v not in in_cover]
-    # decide_kvc may return a smaller cover than k, giving a larger clique.
-    return clique
+    comp = complement_masks(adjacency_masks(adj))
+    return _probe(comp, [v for v, m in enumerate(comp) if m], size,
+                  counters, budget)
 
 
-def max_clique_via_vc(adj: list[set], lower_bound: int = 0,
-                      counters: Counters | None = None,
-                      budget: WorkBudget | None = None) -> list[int] | None:
+def max_clique_via_vc_masks(masks: list[int], lower_bound: int = 0,
+                            counters: Counters | None = None,
+                            budget: WorkBudget | None = None
+                            ) -> list[int] | None:
     """Find a maximum clique strictly larger than ``lower_bound``.
 
-    Binary search over clique sizes in (lower_bound, n]; each probe is a
-    k-VC decision on the complement.  Returns ``None`` when
-    ω(subgraph) <= lower_bound (an exact negative), otherwise a maximum
-    clique as local ids.
+    ``masks`` is the graph as one neighbourhood bitmask per vertex.  Binary
+    search over clique sizes in (lower_bound, n]; each probe is a k-VC
+    decision on the complement, built once for all probes.  Returns
+    ``None`` when ω(subgraph) <= lower_bound (an exact negative), otherwise
+    a maximum clique as local ids.
     """
-    n = len(adj)
+    n = len(masks)
     if counters is not None:
         counters.kvc_subsolves += 1
     if lower_bound + 1 > n:
         return None
+    comp = complement_masks(masks)
+    verts = [v for v, m in enumerate(comp) if m]
     # First probe at the minimum interesting size: most neighborhoods
     # contain no clique beating the incumbent, and the k-VC instance with
     # the loosest budget is the cheapest to refute (work-avoidance).
-    best = clique_exists_via_vc(adj, lower_bound + 1, counters=counters, budget=budget)
+    best = _probe(comp, verts, lower_bound + 1, counters, budget)
     if best is None:
         return None
     # Binary search the remaining range for the exact maximum.
@@ -65,10 +86,18 @@ def max_clique_via_vc(adj: list[set], lower_bound: int = 0,
     hi = n
     while lo <= hi:
         mid = (lo + hi) // 2
-        clique = clique_exists_via_vc(adj, mid, counters=counters, budget=budget)
+        clique = _probe(comp, verts, mid, counters, budget)
         if clique is None:
             hi = mid - 1
         else:
             best = clique
             lo = len(clique) + 1
     return best
+
+
+def max_clique_via_vc(adj: list[set], lower_bound: int = 0,
+                      counters: Counters | None = None,
+                      budget: WorkBudget | None = None) -> list[int] | None:
+    """:func:`max_clique_via_vc_masks` on set adjacency."""
+    return max_clique_via_vc_masks(adjacency_masks(adj), lower_bound,
+                                   counters, budget)

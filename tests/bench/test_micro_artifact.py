@@ -62,9 +62,9 @@ class TestMicroArtifact:
         from repro.core import filtering
         from repro.datasets import load
 
-        extract = filtering._induced_adjacency
+        extract = filtering._induced_masks
         dispatched, result = micro.record_dispatched(load("HS-CX"))
-        assert filtering._induced_adjacency is extract
+        assert filtering._induced_masks is extract
         assert len(dispatched) == result.funnel.searched
-        assert all(bound >= 0 and len(adj) > bound
-                   for adj, bound in dispatched)
+        assert all(bound >= 0 and len(masks) > bound
+                   for masks, bound in dispatched)

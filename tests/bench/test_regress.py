@@ -44,6 +44,25 @@ class TestCompare:
         assert report.missing_rows == ["CAroad"]
         assert report.new_rows == ["renamed"]
 
+    def test_detects_dropped_columns(self, exported, tmp_path):
+        """A counter the candidate stops emitting is not clean; a dropped
+        time column is ignored unless time is compared."""
+        record = json.loads((exported / "table3.json").read_text())
+        record["rows"][0]["t_fake"] = 1.0
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(record))
+        del record["rows"][0]["coreness"]
+        del record["rows"][0]["t_fake"]
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps(record))
+        report = compare(base, cand)
+        assert report.missing_columns == ["CAroad.coreness"]
+        assert not report.drifts
+        assert not report.clean
+        assert "columns missing: CAroad.coreness" in str(report)
+        assert compare(base, cand, include_time=True).missing_columns == [
+            "CAroad.coreness", "CAroad.t_fake"]
+
     def test_artifact_mismatch_rejected(self, exported):
         with pytest.raises(ValueError):
             compare(exported / "table3.json", exported / "fig1.json")

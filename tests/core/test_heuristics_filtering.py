@@ -19,6 +19,7 @@ from repro.instrument import Counters
 from repro.intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
 from repro.intersect.hashset import HopscotchSet
 from repro.parallel import Incumbent, IncumbentView, SimulatedScheduler
+from repro.vc.kernelization import mask_ids
 from tests.conftest import brute_force_max_clique, random_graph
 
 
@@ -294,16 +295,28 @@ class TestFilterLoopMatchesReference:
            min_core=st.integers(0, 4))
     def test_induced_adjacency_matches_reference(self, params, data,
                                                  min_core):
+        """The mask extraction against the frozen set loop, for
+        candidates in any order: bit j of mask i iff j in set i, and the
+        same counters."""
         n, p, seed = params
         graph = random_graph(n, p, seed)
-        picked = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        picked = data.draw(st.permutations(
+            data.draw(st.lists(st.integers(0, n - 1), unique=True))))
         candidates = np.asarray(picked, dtype=np.int64)
-        outputs = []
-        for extract in (filtering._induced_adjacency,
-                        reference_induced_adjacency):
-            counters = Counters()
-            lazy = make_lazy(graph)
-            adj = extract(lazy, candidates, min_core, counters)
-            # Lists, not sets: the iteration order must match too.
-            outputs.append(([list(s) for s in adj], counters.as_dict()))
-        assert outputs[0] == outputs[1]
+        counters = Counters()
+        masks = filtering._induced_masks(make_lazy(graph), candidates,
+                                         min_core, counters)
+        want_counters = Counters()
+        adj = reference_induced_adjacency(make_lazy(graph), candidates,
+                                          min_core, want_counters)
+        assert masks == [sum(1 << j for j in s) for s in adj]
+        assert counters.as_dict() == want_counters.as_dict()
+        # The filters hand over ascending candidates; for those the sets
+        # MC arm's sets iterate as the frozen loop's did.
+        ascending = np.sort(candidates)
+        masks = filtering._induced_masks(make_lazy(graph), ascending,
+                                         min_core, Counters())
+        adj = reference_induced_adjacency(make_lazy(graph), ascending,
+                                          min_core, Counters())
+        assert [list(set(mask_ids(m))) for m in masks] == \
+            [list(s) for s in adj]

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphConstructionError
 from repro.graph import (
-    from_edges, complete_graph, empty_graph, complement,
-    induced_subgraph, induced_adjacency_sets, subgraph_density,
+    from_edges, complete_graph, empty_graph, complement, complement_masks,
+    induced_subgraph, induced_adjacency_sets, induced_masks,
+    subgraph_density,
 )
+from repro.graph import subgraph
 from repro.graph.subgraph import edges_within
-from repro.graph.complement import complement_adjacency_sets
 from tests.conftest import random_graph
 
 
@@ -57,6 +58,48 @@ class TestAdjacencySets:
             assert adj[i] == sub.neighbor_set(i)
 
 
+class TestInducedMasks:
+    """Bit j of mask i is set iff ``candidates[j]`` is in ``rows[i]``."""
+
+    @staticmethod
+    def _reference(graph, verts):
+        index = {u: j for j, u in enumerate(verts.tolist())}
+        return [sum(1 << index[w] for w in graph.neighbors(u).tolist()
+                    if w in index) for u in verts.tolist()]
+
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 10**6),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_in_any_order(self, n, p, seed, data):
+        g = random_graph(n, p, seed=seed)
+        verts = np.asarray(data.draw(st.permutations(range(n)))[
+            :data.draw(st.integers(0, n))], dtype=np.int64)
+        rows = [g.neighbors(u) for u in verts.tolist()]
+        assert induced_masks(rows, verts) == self._reference(g, verts)
+
+    def test_matches_adjacency_sets(self):
+        g = random_graph(15, 0.4, seed=8)
+        verts = np.array([12, 0, 9, 3, 6])
+        masks = induced_masks([g.neighbors(u) for u in verts], verts)
+        adj = induced_adjacency_sets(g, verts)
+        assert masks == [sum(1 << j for j in s) for s in adj]
+
+    def test_blocks_of_rows(self, monkeypatch):
+        """A block cap far below k x k gives the same masks, row block by
+        row block (here 2 rows per block, the last one short)."""
+        g = random_graph(40, 0.5, seed=4)
+        verts = np.arange(39, 0, -2, dtype=np.int64)
+        rows = [g.neighbors(u) for u in verts.tolist()]
+        want = induced_masks(rows, verts)
+        monkeypatch.setattr(subgraph, "_MASK_BLOCK_BYTES", 2 * len(verts))
+        assert induced_masks(rows, verts) == want == self._reference(g, verts)
+
+    def test_empty(self):
+        assert induced_masks([], np.empty(0, dtype=np.int64)) == []
+        assert induced_masks([np.empty(0, dtype=np.int64)],
+                             np.array([5])) == [0]
+
+
 class TestDensity:
     def test_clique_density_one(self):
         g = complete_graph(6)
@@ -99,7 +142,18 @@ class TestComplement:
         gc = complement(g)
         assert g.m + gc.m == n * (n - 1) // 2
 
-    def test_complement_adjacency_sets(self):
-        adj = [{1}, {0}, set()]
-        comp = complement_adjacency_sets(adj)
-        assert comp == [{2}, {2}, {0, 1}]
+    def test_complement_masks(self):
+        # Edge 0-1 and an isolated 2, as one neighbourhood mask per vertex.
+        assert complement_masks([0b010, 0b001, 0b000]) == [0b100, 0b100,
+                                                           0b011]
+        assert complement_masks([]) == []
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_complement_masks_match_csr(self, n, p, seed):
+        g = random_graph(n, p, seed=seed)
+        verts = np.arange(n)
+        masks = induced_masks([g.neighbors(v) for v in verts], verts)
+        gc = complement(g)
+        assert complement_masks(masks) == induced_masks(
+            [gc.neighbors(v) for v in verts], verts)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import BudgetExceeded
 from repro.instrument import Counters, WorkBudget
 from repro.mc import BitMCSubgraphSolver, MCSubgraphSolver
+from repro.vc.kernelization import adjacency_masks
 
 
 def _random_adj(n: int, p: float, seed: int) -> list[set]:
@@ -42,7 +43,8 @@ class TestBitsVsSetsEquivalence:
     def test_same_size_and_valid(self, n, p, seed, lb):
         adj = _random_adj(n, p, seed)
         sets_found = MCSubgraphSolver().solve(adj, lower_bound=lb)
-        bits_found = BitMCSubgraphSolver().solve(adj, lower_bound=lb)
+        bits_found = BitMCSubgraphSolver().solve(adjacency_masks(adj),
+                                                 lower_bound=lb)
         if sets_found is None:
             assert bits_found is None
         else:
@@ -57,7 +59,7 @@ class TestBitsVsSetsEquivalence:
         for seed in range(4):
             adj = _random_adj(24, p, seed * 31 + 5)
             sets_found = MCSubgraphSolver().solve(adj)
-            bits_found = BitMCSubgraphSolver().solve(adj)
+            bits_found = BitMCSubgraphSolver().solve(adjacency_masks(adj))
             assert len(bits_found) == len(sets_found)
             assert _is_clique(adj, bits_found)
 
@@ -67,7 +69,8 @@ class TestBitsVsSetsEquivalence:
     def test_charges_words(self):
         adj = _random_adj(16, 0.6, 9)
         counters = Counters()
-        found = BitMCSubgraphSolver(counters=counters).solve(adj)
+        found = BitMCSubgraphSolver(counters=counters).solve(
+            adjacency_masks(adj))
         assert _is_clique(adj, found)
         assert counters.words_scanned > 0
 
@@ -79,7 +82,7 @@ class TestBitsBudgetParity:
         budget = WorkBudget(max_work=5, counters=counters)
         solver = BitMCSubgraphSolver(counters=counters, budget=budget)
         with pytest.raises(BudgetExceeded):
-            solver.solve(adj)
+            solver.solve(adjacency_masks(adj))
         assert counters.work > 5
 
     def test_both_backends_trip_on_tiny_budget(self):
@@ -87,11 +90,12 @@ class TestBitsBudgetParity:
         # backends must honor the same budget discipline: a budget far
         # below either backend's full-solve cost trips both.
         adj = _random_adj(40, 0.7, 11)
-        for solver_cls in (MCSubgraphSolver, BitMCSubgraphSolver):
+        for solver_cls, graph in ((MCSubgraphSolver, adj),
+                                  (BitMCSubgraphSolver, adjacency_masks(adj))):
             counters = Counters()
             budget = WorkBudget(max_work=50, counters=counters)
             with pytest.raises(BudgetExceeded):
-                solver_cls(counters=counters, budget=budget).solve(adj)
+                solver_cls(counters=counters, budget=budget).solve(graph)
 
     def test_ample_budget_does_not_trip(self):
         adj = _random_adj(24, 0.5, 2)
@@ -99,5 +103,5 @@ class TestBitsBudgetParity:
         budget = WorkBudget(max_work=10**9, counters=counters)
         base = MCSubgraphSolver().solve(adj)
         found = BitMCSubgraphSolver(counters=counters,
-                                    budget=budget).solve(adj)
+                                    budget=budget).solve(adjacency_masks(adj))
         assert len(found) == len(base)

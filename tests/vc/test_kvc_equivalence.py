@@ -15,7 +15,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.complement import complement_adjacency_sets
 from repro.instrument import Counters
 from repro.vc import (
     decide_kvc, kernelize, max_clique_via_vc, minimum_vertex_cover,
@@ -149,6 +148,15 @@ def _frozen_decide_kvc(adj, k, counters=None):
     if result is None:
         return None
     return sorted(set(result))
+
+
+def complement_adjacency_sets(adj):
+    """The complement as sets, built as the k-VC arm built it before it
+    moved to masks (the frozen search's node counts depend on the sets'
+    iteration order)."""
+    n = len(adj)
+    universe = set(range(n))
+    return [universe - adj[v] - {v} for v in range(n)]
 
 
 def _random_adjacency(n, p, seed):

@@ -2,18 +2,22 @@
 clique-via-VC reduction."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import from_edges, complete_graph
+from repro.graph import from_edges, complete_graph, complement
 from repro.graph.subgraph import induced_adjacency_sets
 from repro.instrument import Counters
 from repro.vc import (
     kernelize, vc_paths_and_cycles,
     decide_kvc, minimum_vertex_cover, max_clique_via_vc, clique_exists_via_vc,
+    max_clique_via_vc_masks,
 )
+from repro.vc import clique_via_vc
+from repro.vc.kernelization import adjacency_masks
 from tests.conftest import brute_force_max_clique, random_graph
 
 
@@ -185,13 +189,10 @@ class TestMinimumVertexCover:
 class TestCliqueViaVC:
     def test_duality_on_random(self):
         """|MVC(complement)| = n - omega (König-free sanity, §II-B)."""
-        from repro.graph.complement import complement_adjacency_sets
-
         for seed in range(5):
             g = random_graph(12, 0.5, seed=seed + 11)
-            adj = adj_of(g)
             omega = len(brute_force_max_clique(g))
-            mvc = minimum_vertex_cover(complement_adjacency_sets(adj))
+            mvc = minimum_vertex_cover(adj_of(complement(g)))
             assert len(mvc) == g.n - omega
 
     def test_exists_probe(self):
@@ -220,6 +221,76 @@ class TestCliqueViaVC:
         assert max_clique_via_vc(adj, lower_bound=omega) is None
         found = max_clique_via_vc(adj, lower_bound=omega - 1)
         assert found is not None and len(found) == omega
+
+
+def set_path_max_clique(adj, lower_bound, counters, probes):
+    """The reduction on sets: a fresh complement per probe, each appended
+    to ``probes``."""
+    n = len(adj)
+    counters.kvc_subsolves += 1
+
+    def exists(size):
+        if size <= 0:
+            return []
+        if size > n:
+            return None
+        comp = [set(range(n)) - adj[v] - {v} for v in range(n)]
+        probes.append(comp)
+        cover = decide_kvc(comp, n - size, counters=counters)
+        if cover is None:
+            return None
+        return [v for v in range(n) if v not in set(cover)]
+
+    if lower_bound + 1 > n:
+        return None
+    best = exists(lower_bound + 1)
+    if best is None:
+        return None
+    lo, hi = len(best) + 1, n
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        clique = exists(mid)
+        if clique is None:
+            hi = mid - 1
+        else:
+            best, lo = clique, len(clique) + 1
+    return best
+
+
+class TestMaskReduction:
+    """The mask-level reduction answers as the set path does, with the
+    same counters, and builds the complement once for all its probes."""
+
+    @given(st.integers(0, 24), st.floats(0.0, 1.0), st.integers(0, 10**6),
+           st.integers(-1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_set_path(self, n, p, seed, lower_bound):
+        adj = adj_of(random_graph(n, p, seed=seed)) if n else []
+        want_probes = []
+        want_counters = Counters()
+        want = set_path_max_clique(adj, lower_bound, want_counters,
+                                   want_probes)
+        probes = []
+        decide = clique_via_vc.decide_kvc_masks
+
+        def recording(comp, verts, k, counters=None, budget=None):
+            probes.append((comp, verts, list(comp), list(verts)))
+            return decide(comp, verts, k, counters, budget)
+
+        counters = Counters()
+        with mock.patch.object(clique_via_vc, "decide_kvc_masks", recording):
+            got = max_clique_via_vc_masks(adjacency_masks(adj), lower_bound,
+                                          counters)
+        assert got == want
+        assert counters.as_dict() == want_counters.as_dict()
+        assert len(probes) == len(want_probes)
+        # One complement and one vertex list, read by every probe and
+        # equal to each probe's complement on the set path.
+        assert len({id(comp) for comp, *_ in probes}) <= 1
+        assert len({id(verts) for _, verts, *_ in probes}) <= 1
+        for (_, _, comp, verts), sets in zip(probes, want_probes):
+            assert comp == adjacency_masks(sets)
+            assert verts == [v for v in range(len(sets)) if sets[v]]
 
 
 class TestKernelHook:
