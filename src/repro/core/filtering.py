@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..graph.subgraph import induced_masks
 from ..instrument import Counters, WorkBudget
 from ..intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
@@ -100,7 +98,7 @@ class FilterFunnel:
         }
 
 
-def _induced_masks(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
+def _induced_masks(lazy: LazyGraph, candidates: list[int], min_core: int,
                    counters: Counters) -> list[int]:
     """Cut out G[N] as one local-id bitmask per candidate.
 
@@ -110,12 +108,12 @@ def _induced_masks(lazy: LazyGraph, candidates: np.ndarray, min_core: int,
     ``bench micro``'s arm race records the dispatched traffic by wrapping
     this module-level name, so callers look it up here.
     """
-    rows = [lazy.neighborhood_array(u, min_core) for u in candidates.tolist()]
+    rows = [lazy.neighborhood_array(u, min_core) for u in candidates]
     counters.elements_scanned += sum(map(len, rows))
     return induced_masks(rows, candidates)
 
 
-def _degree_filters(lazy: LazyGraph, cand: np.ndarray, cstar: int,
+def _degree_filters(lazy: LazyGraph, cand_list: list[int], cstar: int,
                     config: LazyMCConfig,
                     counters: Counters) -> tuple[list[int], int, int]:
     """Filters 2 and 3 (Alg. 8 lines 4-13): ``(survivors, m̂, rounds passed)``.
@@ -125,7 +123,6 @@ def _degree_filters(lazy: LazyGraph, cand: np.ndarray, cstar: int,
     default r=2 is exactly filter 2 + filter 3.
     """
     rounds = config.filter_rounds
-    cand_list = cand.tolist()
     if rounds >= 1:
         cand_set = set(cand_list)
         counters.hash_inserts += len(cand_list)
@@ -228,12 +225,11 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
             tracer.prune(technique, v=v, survivors=len(survivors), cstar=cstar)
         return
     funnel.after_filter3 += 1
-    cand = np.asarray(survivors, dtype=np.int64)
 
     # One extraction for every arm; the density comes from m̂ (directed
     # count over survivors) when a val round ran, else from the masks.
-    k = len(cand)
-    masks = _induced_masks(lazy, cand, cstar, counters)
+    k = len(survivors)
+    masks = _induced_masks(lazy, survivors, cstar, counters)
     if k <= 1:
         density = 1.0
     elif rounds >= 1:
@@ -293,5 +289,5 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
     if found is not None and len(found) + 1 > cstar:
         if tracer.enabled:
             tracer.incumbent(len(found) + 1, source="neighbor_search", v=v)
-        clique_relabelled = [v] + [int(cand[i]) for i in found]
+        clique_relabelled = [v] + [survivors[i] for i in found]
         view.offer(lazy.to_original(clique_relabelled))

@@ -121,9 +121,9 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
             v = first_at_level[level]
             cand = lazy.right_neighborhood(v, view.size)
             clique = [v]
-            buf = np.empty(len(cand), dtype=np.int64)
-            while len(cand):
-                u = int(cand[-1])  # highest-numbered = highest coreness
+            buf = [0] * len(cand)
+            while cand:
+                u = cand[-1]  # highest-numbered = highest coreness
                 theta = view.size - (len(clique) + 1)
                 rep = lazy.membership_set(u, view.size)
                 size = intersect_gt(cand, rep, buf, theta, counters,
@@ -131,7 +131,7 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
                 clique.append(u)
                 if size < 0:
                     break  # cannot beat the incumbent through this seed
-                cand = buf[:size].copy()
+                cand = buf[:size]
         finally:
             lazy.counters = main_counters
         view.offer(lazy.to_original(clique))

@@ -14,13 +14,18 @@ Four ideas in one data structure:
   this is harmless because the dropped vertices are permanently dead to
   the search (§IV-A).
 * **Hashed** — high-degree neighborhoods get a builtin ``set`` for O(1)
-  membership in the intersection kernels; low-degree ones get a sorted
-  array.  Both may coexist; intersections prefer the hash form.
+  membership in the intersection kernels, built from a sorted array kept
+  beside it (its *twin*) for the loops that iterate the row; low-degree
+  ones get the sorted array alone.  Both may coexist; intersections prefer
+  the hash form.
 
 Concurrency follows the paper: double-checked locking around construction,
 with each representation read-only afterwards.  A representation exists
 exactly when its slot in ``_hash_reps`` / ``_sorted_reps`` is not ``None``;
-the slot is the flag, so the lock-free fast path is one list read.
+the slot is the flag, so the lock-free fast path is one list read.  Every
+build goes through one gather (:meth:`LazyGraph._filtered_rows`), which
+prepopulation (Fig. 4) runs once over the whole must subgraph and the lazy
+builds run over one vertex.
 """
 
 from __future__ import annotations
@@ -49,11 +54,15 @@ class LazyGraph:
         self.graph = graph
         self.order = order
         self.core = np.asarray(core_original)[order.new_to_old]
+        # The query-time coreness filter reads one element at a time.
+        self._core = self.core.tolist()
         self.config = config if config is not None else LazyMCConfig()
         self.counters = counters if counters is not None else Counters()
         n = graph.n
         self._hash_reps: list[set[int] | None] = [None] * n
         self._sorted_reps: list[np.ndarray | None] = [None] * n
+        # The sorted array each hash set was built from, set before it.
+        self._twins: list[np.ndarray | None] = [None] * n
         self._locks = StripedLocks(64)
         # Degrees in relabelled space (original degrees permuted).
         self.degrees = graph.degrees[order.new_to_old]
@@ -74,26 +83,43 @@ class LazyGraph:
 
     # -- construction -------------------------------------------------------------
 
-    def _filtered_relabelled_neighbors(self, v: int, min_core: int) -> np.ndarray:
-        """Gather + relabel + coreness-filter the raw neighborhood of ``v``.
+    def _filtered_rows(self, vertices, min_core: int) -> list[np.ndarray]:
+        """Gather, relabel, coreness-filter and sort the rows of ``vertices``.
 
         This is the expensive random-access step laziness amortizes: one
         gather through ``old_to_new`` per neighbor, then the lazy filter
-        ``core[u] >= min_core`` (Alg. 2 line 20).
+        ``core[u] >= min_core`` (Alg. 2 line 20), then a sort.  All rows
+        go through a fixed number of numpy calls, whatever their count:
+        CSR slices by repeat/cumsum, and one sort of ``owner * n + id``.
+        Returns one sorted view per vertex, in ``vertices`` order.
         """
-        v_orig = int(self.order.new_to_old[v])
-        nbrs_orig = self.graph.neighbors(v_orig)
-        nbrs = self.order.old_to_new[nbrs_orig]
+        n = self.graph.n
+        orig = self.order.new_to_old[vertices]
+        indptr = self.graph.indptr
+        starts = indptr[orig]
+        lengths = indptr[orig + 1] - starts
+        owner = np.repeat(np.arange(len(orig)), lengths)
+        # Gathered position p of row i reads indices[starts[i] + p - first],
+        # where first is the position row i begins at in the gather.
+        shift = starts - (np.cumsum(lengths) - lengths)
+        nbrs = self.order.old_to_new[
+            self.graph.indices[np.arange(len(owner)) + shift[owner]]]
         keep = self.core[nbrs] >= min_core
+        owner = owner[keep]
+        key = owner * n + nbrs[keep]
+        key.sort()
+        flat = key - owner * n
+        ends = np.cumsum(np.bincount(owner, minlength=len(orig))).tolist()
         self.counters.elements_scanned += len(nbrs)
-        self.counters.neighbors_filtered_at_build += int(len(nbrs) - keep.sum())
-        return nbrs[keep]
+        self.counters.neighbors_filtered_at_build += len(nbrs) - len(flat)
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
     def hashed_neighborhood(self, v: int, min_core: int = 0) -> set[int]:
         """Hash-set representation, built on first request (Alg. 2).
 
         ``min_core`` is the incumbent size at the requesting context; it is
-        applied only if the representation does not exist yet.
+        applied only if the representation does not exist yet.  The sorted
+        row the set is built from stays as its twin.
         """
         rep = self._hash_reps[v]
         if rep is not None:
@@ -101,11 +127,11 @@ class LazyGraph:
         with self._locks.lock_for(v):
             rep = self._hash_reps[v]
             if rep is None:  # double-checked
-                members = self._filtered_relabelled_neighbors(v, min_core)
-                rep = set(members.tolist())
-                self.counters.hash_inserts += len(members)
+                row = self._filtered_rows([v], min_core)[0]
+                self.counters.hash_inserts += len(row)
                 self.counters.neighborhoods_built_hash += 1
-                self._hash_reps[v] = rep
+                self._twins[v] = row
+                rep = self._hash_reps[v] = set(row.tolist())
         return rep
 
     def sorted_neighborhood(self, v: int, min_core: int = 0) -> np.ndarray:
@@ -116,7 +142,7 @@ class LazyGraph:
         with self._locks.lock_for(v):
             rep = self._sorted_reps[v]
             if rep is None:
-                rep = np.sort(self._filtered_relabelled_neighbors(v, min_core))
+                rep = self._filtered_rows([v], min_core)[0]
                 self.counters.neighborhoods_built_sorted += 1
                 self._sorted_reps[v] = rep
         return rep
@@ -141,38 +167,31 @@ class LazyGraph:
         return SortedArraySet(self.sorted_neighborhood(v, min_core))
 
     def neighborhood_array(self, v: int, min_core: int = 0) -> np.ndarray:
-        """An iterable array of the (constructed) neighborhood of ``v``.
+        """An iterable sorted array of the (constructed) neighborhood of ``v``.
 
-        When only the hash representation exists, its sorted array form is
-        materialized once and memoized as the sorted representation — the
-        two then share the same filter state, and repeated queries (the
-        filter loops hit the same vertices many times) stop paying the
-        conversion.
+        The sorted representation if one exists, else the hash set's twin,
+        else a sorted representation built now.
         """
         arr = self._sorted_reps[v]
         if arr is not None:
             return arr
-        rep = self._hash_reps[v]
-        if rep is None:
-            return self.sorted_neighborhood(v, min_core)
-        with self._locks.lock_for(v):
-            arr = self._sorted_reps[v]
-            if arr is None:
-                arr = np.array(sorted(rep), dtype=np.int64)
-                self._sorted_reps[v] = arr
-        return arr
+        arr = self._twins[v]
+        if arr is not None:
+            return arr
+        return self.sorted_neighborhood(v, min_core)
 
-    def right_neighborhood(self, v: int, min_core: int = 0) -> np.ndarray:
-        """``{u in N(v) : u > v and core[u] >= min_core}`` (Alg. 8 line 2).
+    def right_neighborhood(self, v: int, min_core: int = 0) -> list[int]:
+        """``[u in N(v) : u > v and core[u] >= min_core]``, ascending (Alg. 8
+        line 2).
 
         Re-applies the coreness filter at query time because the memoized
         representation may have been built under a smaller incumbent.
         """
         arr = self.neighborhood_array(v, min_core)
-        out = arr[arr > v]
-        keep = self.core[out] >= min_core
-        self.counters.elements_scanned += len(out)
-        return out[keep]
+        tail = arr[arr.searchsorted(v, "right"):].tolist()
+        self.counters.elements_scanned += len(tail)
+        core = self._core
+        return [u for u in tail if core[u] >= min_core]
 
     # -- prepopulation (Fig. 4) -----------------------------------------------------
 
@@ -184,22 +203,32 @@ class LazyGraph:
         Each vertex gets the representation the degree rule (§IV-A) would
         choose lazily: a hash set above ``hash_degree_threshold``, a sorted
         array otherwise — eager construction changes *when* a
-        representation is built, never *which*.  Returns the number of
+        representation is built, never *which*, and the counters read as
+        if each had been built lazily.  All rows come from one gather.
+        Runs once, on a graph with nothing built yet and before any
+        parfor, so it takes no locks.  Returns the number of
         neighborhoods built.
         """
         if policy == PrepopulatePolicy.NONE:
             return 0
-        if policy == PrepopulatePolicy.ALL:
-            targets = np.flatnonzero(self.core >= 0)
-        else:
-            targets = np.flatnonzero(self.core >= incumbent_size)
-        threshold = self.config.hash_degree_threshold
-        for v in targets:
-            if self.degrees[v] > threshold:
-                self.hashed_neighborhood(int(v), incumbent_size)
+        floor = 0 if policy == PrepopulatePolicy.ALL else incumbent_size
+        targets = np.flatnonzero(self.core >= floor)
+        hashed = (self.degrees[targets]
+                  > self.config.hash_degree_threshold).tolist()
+        rows = self._filtered_rows(targets, incumbent_size)
+        n_hash = inserts = 0
+        for v, row, h in zip(targets.tolist(), rows, hashed):
+            if h:
+                self._twins[v] = row
+                self._hash_reps[v] = set(row.tolist())
+                n_hash += 1
+                inserts += len(row)
             else:
-                self.sorted_neighborhood(int(v), incumbent_size)
-        return len(targets)
+                self._sorted_reps[v] = row
+        self.counters.hash_inserts += inserts
+        self.counters.neighborhoods_built_hash += n_hash
+        self.counters.neighborhoods_built_sorted += len(rows) - n_hash
+        return len(rows)
 
     # -- bookkeeping ------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import LazyGraph, LazyMCConfig, PrepopulatePolicy
 from repro.graph import coreness, coreness_degree_order, from_edges
@@ -153,6 +154,111 @@ class TestPrepopulate:
         n_hash, n_sorted = lazy.built_counts()
         assert n_hash == 1
         assert n_sorted == g.n - 1
+
+
+def reference_row(lazy, v, min_core, counters):
+    """The per-vertex build as it stood: gather, relabel, filter, sort."""
+    nbrs = lazy.order.old_to_new[lazy.graph.neighbors(
+        int(lazy.order.new_to_old[v]))]
+    keep = lazy.core[nbrs] >= min_core
+    counters.elements_scanned += len(nbrs)
+    counters.neighbors_filtered_at_build += int(len(nbrs) - keep.sum())
+    return np.sort(nbrs[keep]).tolist()
+
+
+graph_params = st.tuples(st.integers(0, 40), st.floats(0.0, 0.9),
+                         st.integers(0, 10_000))
+
+
+class TestBulkBuilds:
+    """The one gather against the frozen per-vertex build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=graph_params,
+           policy=st.sampled_from(list(PrepopulatePolicy)),
+           incumbent=st.integers(0, 6),
+           threshold=st.sampled_from([0, 2, 8, 16]))
+    def test_prepopulate_equals_per_vertex_builds(self, params, policy,
+                                                  incumbent, threshold):
+        g = random_graph(*params)
+        cfg = LazyMCConfig(hash_degree_threshold=threshold)
+        lazy, _, _ = make_lazy(g, config=cfg)
+        built = lazy.prepopulate(policy, incumbent)
+
+        want = Counters()
+        floor = {PrepopulatePolicy.NONE: None, PrepopulatePolicy.ALL: 0,
+                 PrepopulatePolicy.MUST: incumbent}[policy]
+        expected_built = 0
+        for v in range(g.n):
+            hash_rep = lazy._hash_reps[v]
+            sorted_rep = lazy._sorted_reps[v]
+            if floor is None or lazy.core[v] < floor:
+                assert hash_rep is None and sorted_rep is None
+                continue
+            expected_built += 1
+            row = reference_row(lazy, v, incumbent, want)
+            assert list(lazy.neighborhood_array(v)) == row
+            if lazy.degrees[v] > threshold:
+                assert sorted_rep is None and hash_rep == set(row)
+                want.hash_inserts += len(row)
+                want.neighborhoods_built_hash += 1
+            else:
+                assert hash_rep is None and sorted_rep.tolist() == row
+                want.neighborhoods_built_sorted += 1
+        assert built == expected_built
+        assert lazy.counters.as_dict() == want.as_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=graph_params, min_core=st.integers(0, 5))
+    def test_lazy_builds_match_reference(self, params, min_core):
+        g = random_graph(*params)
+        lazy, _, _ = make_lazy(g)
+        want = Counters()
+        for v in range(g.n):
+            row = reference_row(lazy, v, min_core, want)
+            if v % 2:
+                assert lazy.hashed_neighborhood(v, min_core) == set(row)
+                want.hash_inserts += len(row)
+                want.neighborhoods_built_hash += 1
+            else:
+                assert lazy.sorted_neighborhood(v, min_core).tolist() == row
+                want.neighborhoods_built_sorted += 1
+        assert lazy.counters.as_dict() == want.as_dict()
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=graph_params, min_core=st.integers(0, 5),
+           prepopulate=st.booleans())
+    def test_hashed_array_is_sorted_rep(self, params, min_core, prepopulate):
+        """A hashed vertex's array is its set, sorted, with no sorted
+        representation counted or built for it."""
+        g = random_graph(*params)
+        lazy, _, _ = make_lazy(g, config=LazyMCConfig(hash_degree_threshold=-1))
+        if prepopulate:
+            lazy.prepopulate(PrepopulatePolicy.ALL, min_core)
+        for v in range(g.n):
+            rep = lazy.hashed_neighborhood(v, min_core)
+            assert lazy.neighborhood_array(v).tolist() == sorted(rep)
+        assert lazy.counters.neighborhoods_built_sorted == 0
+        assert lazy.built_counts() == (g.n, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=graph_params, build_core=st.integers(0, 4),
+           query_core=st.integers(0, 6), threshold=st.sampled_from([0, 16]))
+    def test_right_neighborhood_matches_numpy(self, params, build_core,
+                                              query_core, threshold):
+        """Rows built under one incumbent, queried under another."""
+        g = random_graph(*params)
+        cfg = LazyMCConfig(hash_degree_threshold=threshold)
+        lazy, _, _ = make_lazy(g, config=cfg)
+        lazy.prepopulate(PrepopulatePolicy.ALL, build_core)
+        for v in range(g.n):
+            arr = lazy.neighborhood_array(v)
+            out = arr[arr > v]
+            want = out[lazy.core[out] >= query_core].tolist()
+            before = lazy.counters.elements_scanned
+            got = lazy.right_neighborhood(v, query_core)
+            assert type(got) is list and got == want
+            assert lazy.counters.elements_scanned - before == len(out)
 
 
 class TestTranslation:

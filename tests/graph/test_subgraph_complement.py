@@ -94,6 +94,28 @@ class TestInducedMasks:
         monkeypatch.setattr(subgraph, "_MASK_BLOCK_BYTES", 2 * len(verts))
         assert induced_masks(rows, verts) == want == self._reference(g, verts)
 
+    @given(st.lists(st.tuples(st.integers(1, 40), st.floats(0.0, 1.0),
+                              st.integers(0, 10**6), st.randoms()),
+                    min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_calls_share_one_table(self, draws):
+        """Graphs of growing and shrinking id ranges, candidates in any
+        order, one thread's table: every call matches the reference and
+        leaves every slot of the table free again."""
+        for n, p, seed, rnd in draws:
+            g = random_graph(n, p, seed=seed)
+            picked = rnd.sample(range(n), rnd.randint(0, n))
+            verts = np.asarray(picked, dtype=np.int64)
+            rows = [g.neighbors(u) for u in picked]
+            assert induced_masks(rows, picked) == self._reference(g, verts)
+            assert (subgraph._scratch.table == -1).all()
+
+    def test_table_reset_after_error(self):
+        """A failing call still frees its candidate slots."""
+        with pytest.raises(TypeError):  # a row of non-integer ids
+            induced_masks([np.array([0.5])], np.array([0, 1]))
+        assert (subgraph._scratch.table == -1).all()
+
     def test_empty(self):
         assert induced_masks([], np.empty(0, dtype=np.int64)) == []
         assert induced_masks([np.empty(0, dtype=np.int64)],
