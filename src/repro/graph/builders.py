@@ -3,8 +3,8 @@
 All builders normalize their input to the :class:`~repro.graph.csr.CSRGraph`
 invariants: undirected, simple, sorted rows.  Construction is fully
 vectorized — duplicate removal, symmetrization and row sorting are done with
-a single lexicographic sort over the directed edge array rather than per-row
-Python loops.
+one sort of a single ``src * n + dst`` key per directed edge rather than
+per-row Python loops.
 """
 
 from __future__ import annotations
@@ -18,17 +18,21 @@ from .csr import CSRGraph, INDPTR_DTYPE, VERTEX_DTYPE
 
 
 def _csr_from_directed(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
-    """Build a CSR graph from an already-symmetric directed edge array."""
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    if len(src):
-        keep = np.empty(len(src), dtype=bool)
+    """Build a CSR graph from an already-symmetric directed edge array.
+
+    Each edge becomes the key ``src * n + dst``: sorting the keys orders the
+    edges by row and then by neighbor, and equal neighbours are adjacent.
+    With ``n <= MAX_VERTICES = 2**31`` every key is below ``2**62``.
+    """
+    key = np.multiply(src, n, dtype=np.int64)
+    key += dst
+    key.sort()
+    if len(key):
+        keep = np.empty(len(key), dtype=bool)
         keep[0] = True
-        np.not_equal(src[1:] * np.int64(n) + dst[1:],
-                     src[:-1] * np.int64(n) + dst[:-1], out=keep[1:])
-        src = src[keep]
-        dst = dst[keep]
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    src, dst = np.divmod(key, n)
     counts = np.bincount(src, minlength=n).astype(INDPTR_DTYPE)
     indptr = np.zeros(n + 1, dtype=INDPTR_DTYPE)
     np.cumsum(counts, out=indptr[1:])
@@ -54,6 +58,17 @@ def check_vertex_count(n: int) -> int:
     return n
 
 
+def _edge_array(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """``edges`` as an int64 array; an array or a list converts in one call.
+
+    Only a one-shot iterable is listed first: ``list()`` of an ``(m, 2)``
+    array would split it into ``m`` row arrays for numpy to stack again.
+    """
+    if not isinstance(edges, (np.ndarray, list, tuple)):
+        edges = list(edges)
+    return np.asarray(edges, dtype=np.int64)
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> CSRGraph:
     """Build a graph on vertices ``0..n-1`` from an edge iterable.
 
@@ -62,8 +77,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> CSRGrap
     :func:`check_vertex_count`) or out-of-range endpoints.
     """
     check_vertex_count(n)
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                     dtype=np.int64)
+    arr = _edge_array(edges)
     if arr.size == 0:
         return CSRGraph(np.zeros(n + 1, dtype=INDPTR_DTYPE),
                         np.empty(0, dtype=VERTEX_DTYPE), validate=False)
@@ -125,6 +139,6 @@ def union_disjoint(*graphs: CSRGraph) -> CSRGraph:
 
 def add_edges(g: CSRGraph, edges: Iterable[tuple[int, int]]) -> CSRGraph:
     """Return a new graph with ``edges`` added (duplicates are harmless)."""
-    extra = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    extra = _edge_array(edges).reshape(-1, 2)
     base = g.edge_array().astype(np.int64)
     return from_edges(g.n, np.concatenate([base, extra]) if len(base) else extra)

@@ -8,21 +8,107 @@ cliques *and* large gap).  These generators produce seeded, reproducible
 analogues of each family at laptop scale; the dataset registry
 (:mod:`repro.datasets`) maps paper graph names onto parameterizations.
 
-All generators are vectorized over numpy's ``Generator`` and return
-:class:`~repro.graph.csr.CSRGraph`.
+Every generator returns a :class:`~repro.graph.csr.CSRGraph` that is a
+pure function of its arguments and ``seed``: the same call builds the same
+``indptr`` and ``indices`` bytes.  Each draws exactly the stream that
+one-scalar-call-per-draw code on ``numpy.random.default_rng(seed)`` would;
+runs of plain coin flips are drawn as one array, and the registry's loops
+that mix branching with draws take their scalars from
+:class:`_ScalarDraws`.  A ``Generator`` passed as ``seed`` is drawn from
+as is and left at an unspecified position.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from ..errors import GraphConstructionError
-from .builders import from_edges
+from .builders import add_edges, from_edges
 from .csr import CSRGraph
+
+_UINT32_MAX = 0xFFFFFFFF
+#: Raw words :class:`_ScalarDraws` reads from the bit generator at a time.
+_DRAW_BLOCK = 2048
 
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _pairs(src, dst) -> np.ndarray:
+    """Two equal-length id sequences as an ``(m, 2)`` int64 edge array."""
+    return np.stack([np.asarray(src, dtype=np.int64),
+                     np.asarray(dst, dtype=np.int64)], axis=1)
+
+
+class _ScalarDraws:
+    """Scalar ``random()`` and ``integers(high)`` served from bulk raw words.
+
+    Each call returns what the same call on the wrapped ``Generator`` would
+    (a ``PCG64`` one, as ``default_rng`` makes), at a fraction of the cost
+    of a numpy scalar call:
+
+    * ``random()`` is ``(w >> 11) * 2**-53`` for one whole 64-bit word ``w``;
+    * ``integers(high)`` is Lemire's bounded draw on a 32-bit half: the low
+      half of a new word first, its high half on the next integer draw
+      (``random()`` in between leaves that pending half in place), a
+      rejection draws the next half, and ``high == 1`` draws nothing.
+
+    The words are read ahead ``_DRAW_BLOCK`` at a time, so the wrapped
+    generator must never be drawn from again: it belongs to this object.
+    Highs outside ``[1, 2**32 - 1]`` raise, because numpy's 64-bit path is
+    not reproduced; ``rng.integers(low, high)`` is
+    ``low + integers(high - low)``.
+    """
+
+    __slots__ = ("_raw", "_words", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError("_ScalarDraws reproduces PCG64 streams only, not "
+                            f"{type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._raw = bit_generator.random_raw
+        #: Unused words, last word first.
+        self._words: list[int] = []
+        #: The bit generator's buffered high half, if a draw left one.
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _word(self) -> int:
+        words = self._words
+        if not words:
+            words = self._words = self._raw(_DRAW_BLOCK)[::-1].tolist()
+        return words.pop()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _UINT32_MAX
+
+    def random(self) -> float:
+        """A float in ``[0, 1)``, as ``Generator.random()``."""
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, high: int) -> int:
+        """An int in ``[0, high)``, as ``Generator.integers(high)``."""
+        high = operator.index(high)
+        if not 1 <= high <= _UINT32_MAX:
+            raise ValueError(f"high={high} is outside [1, {_UINT32_MAX}]")
+        if high == 1:
+            return 0
+        m = self._uint32() * high
+        if (m & _UINT32_MAX) < high:
+            threshold = (1 << 32) % high
+            while (m & _UINT32_MAX) < threshold:
+                m = self._uint32() * high
+        return m >> 32
 
 
 def gnp_random(n: int, p: float, seed=0) -> CSRGraph:
@@ -40,12 +126,16 @@ def gnp_random(n: int, p: float, seed=0) -> CSRGraph:
     if p == 1.0:
         picks = np.arange(total, dtype=np.int64)
     else:
-        # Geometric gaps between successive selected pair-indices.
+        # Geometric gaps between successive selected pair-indices.  A gap
+        # above ``total`` leaves the triangle, so clipping it to
+        # ``total + 1`` moves no pick below ``total``; it keeps a tiny
+        # ``p``'s gaps (up to the int64 maximum) from overflowing the sums.
         expected = int(total * p + 10 * np.sqrt(total * p) + 10)
-        gaps = rng.geometric(p, size=max(expected, 16))
+        gaps = np.minimum(rng.geometric(p, size=max(expected, 16)), total + 1)
         picks = np.cumsum(gaps) - 1
         while picks[-1] < total - 1 and p > 0:
-            more = rng.geometric(p, size=max(expected // 4, 16))
+            more = np.minimum(rng.geometric(p, size=max(expected // 4, 16)),
+                              total + 1)
             picks = np.concatenate([picks, picks[-1] + np.cumsum(more)])
         picks = picks[picks < total]
     # Unrank pair index -> (u, v) with u < v, row-major over the triangle.
@@ -108,40 +198,39 @@ def powerlaw_cluster(n: int, m: int, triangle_prob: float, seed=0) -> CSRGraph:
     """
     if m < 1 or m >= n:
         raise GraphConstructionError("need 1 <= m < n")
-    rng = _rng(seed)
+    draws = _ScalarDraws(_rng(seed))
+    random, integers = draws.random, draws.integers
     repeated: list[int] = list(range(m))
-    edges: list[tuple[int, int]] = []
+    # Each vertex from m on connects to exactly m targets, listed in order.
+    targets: list[int] = []
     adjacency: list[list[int]] = [[] for _ in range(n)]
 
     def connect(u: int, t: int) -> None:
-        edges.append((u, t))
+        targets.append(t)
         adjacency[u].append(t)
         adjacency[t].append(u)
         repeated.extend([u, t])
 
     for v in range(m, n):
         picked: set[int] = set()
-        count = 0
         last_target = None
-        while count < m:
-            if last_target is not None and rng.random() < triangle_prob:
+        while len(picked) < m:
+            if last_target is not None and random() < triangle_prob:
                 # Triangle closure: connect to a random neighbor of the
                 # previous target.
                 nbrs = [x for x in adjacency[last_target]
                         if x != v and x not in picked]
                 if nbrs:
-                    t = nbrs[rng.integers(len(nbrs))]
+                    t = nbrs[integers(len(nbrs))]
                     picked.add(t)
                     connect(v, t)
-                    count += 1
                     continue
-            t = repeated[rng.integers(len(repeated))] if repeated else int(rng.integers(v))
+            t = repeated[integers(len(repeated))]
             if t != v and t not in picked:
                 picked.add(t)
                 connect(v, t)
                 last_target = t
-                count += 1
-    return from_edges(n, np.asarray(edges, dtype=np.int64))
+    return from_edges(n, _pairs(np.repeat(np.arange(m, n), m), targets))
 
 
 def rmat(scale: int, edge_factor: int, a: float = 0.57, b: float = 0.19,
@@ -175,28 +264,26 @@ def grid_road(rows: int, cols: int, k4_fraction: float = 0.15, seed=0) -> CSRGra
     forms a K4) gives ω = 4 while the degeneracy stays 3 — the USA/CA road
     profile: tiny degeneracy, clique-core gap zero.
     """
+    if rows < 0 or cols < 0:
+        raise GraphConstructionError("rows and cols must be >= 0")
     rng = _rng(seed)
-    def vid(r, c):
-        return r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            if rng.random() < k4_fraction:
-                edges.append((vid(r, c), vid(r + 1, c + 1)))
-                edges.append((vid(r, c + 1), vid(r + 1, c)))
-    return from_edges(rows * cols, np.asarray(edges, dtype=np.int64))
+    vid = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    # One coin per cell, drawn row-major.
+    braced = (rng.random(max(rows - 1, 0) * max(cols - 1, 0))
+              < k4_fraction).reshape(max(rows - 1, 0), max(cols - 1, 0))
+    edges = np.concatenate([
+        _pairs(vid[:, :-1].ravel(), vid[:, 1:].ravel()),
+        _pairs(vid[:-1, :].ravel(), vid[1:, :].ravel()),
+        _pairs(vid[:-1, :-1][braced], vid[1:, 1:][braced]),
+        _pairs(vid[:-1, 1:][braced], vid[1:, :-1][braced]),
+    ])
+    return from_edges(rows * cols, edges)
 
 
 def relaxed_caveman(num_cliques: int, clique_size: int, rewire_prob: float,
                     seed=0) -> CSRGraph:
     """Connected caves (cliques) with rewired edges — community structure."""
-    rng = _rng(seed)
+    draws = _ScalarDraws(_rng(seed))
     n = num_cliques * clique_size
     edges = []
     for c in range(num_cliques):
@@ -204,8 +291,8 @@ def relaxed_caveman(num_cliques: int, clique_size: int, rewire_prob: float,
         for i in range(clique_size):
             for j in range(i + 1, clique_size):
                 u, v = base + i, base + j
-                if rng.random() < rewire_prob:
-                    w = int(rng.integers(n))
+                if draws.random() < rewire_prob:
+                    w = draws.integers(n)
                     if w != u:
                         v = w
                 edges.append((u, v))
@@ -312,20 +399,22 @@ def with_periphery(core_graph: CSRGraph, extra: int, attach_prob: float = 0.1,
     beats eager relabelling.  Analogue graphs wrap their interesting core
     with this to preserve that asymmetry at laptop scale.
     """
-    from .builders import add_edges
-
-    rng = _rng(seed)
+    draws = _ScalarDraws(_rng(seed))
     if extra <= 0:
         return core_graph
+    random, integers = draws.random, draws.integers
     n0 = core_graph.n
     n = n0 + extra
-    edges = []
+    src: list[int] = []
+    dst: list[int] = []
     for v in range(n0, n):
-        edges.append((int(rng.integers(v)), v))
-        if rng.random() < attach_prob:
-            edges.append((int(rng.integers(v)), v))
+        src.append(integers(v))
+        dst.append(v)
+        if random() < attach_prob:
+            src.append(integers(v))
+            dst.append(v)
     base = core_graph.edge_array().astype(np.int64)
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = _pairs(src, dst)
     all_edges = np.concatenate([base, arr]) if len(base) else arr
     return from_edges(n, all_edges)
 
@@ -348,8 +437,6 @@ def social_network(n: int, attach: int, triangle_prob: float, noise_p: float,
     ``clique_size`` must stay below the overlay's degeneracy + 1 for the
     gap to be positive; the registry's parameterizations guarantee it.
     """
-    from .builders import add_edges
-
     base = powerlaw_cluster(n, attach, triangle_prob, seed=seed)
     noise = gnp_random(n, noise_p, seed=(seed or 0) + 1)
     g = add_edges(base, noise.edge_array())
@@ -377,7 +464,7 @@ def hierarchical_web(levels: int, branching: int, core_clique: int, seed=0) -> C
     (uk-union / dimacs / hollywood profile); the periphery mimics the long
     crawl tail whose vertices must all be *skipped* cheaply.
     """
-    rng = _rng(seed)
+    draws = _ScalarDraws(_rng(seed))
     edges = []
     uu, vv = np.triu_indices(core_clique, k=1)
     edges.extend(zip(uu.tolist(), vv.tolist()))
@@ -389,8 +476,8 @@ def hierarchical_web(levels: int, branching: int, core_clique: int, seed=0) -> C
             for _ in range(branching):
                 edges.append((v, next_id))
                 # Occasional cross edge for realism.
-                if rng.random() < 0.3 and next_id > core_clique:
-                    other = int(rng.integers(core_clique, next_id))
+                if draws.random() < 0.3 and next_id > core_clique:
+                    other = core_clique + draws.integers(next_id - core_clique)
                     edges.append((other, next_id))
                 new_frontier.append(next_id)
                 next_id += 1
@@ -404,32 +491,27 @@ def citation_layers(n: int, out_degree: int, recency_bias: float = 2.0, seed=0) 
     """Citation-network analogue (patents): vertices cite earlier vertices
     with a recency-biased preference; moderate coreness, small cliques."""
     rng = _rng(seed)
-    edges = []
-    for v in range(1, n):
-        k = min(out_degree, v)
-        # Bias toward recent vertices: sample v * u^(1/bias).
-        u = (v * rng.random(k) ** recency_bias).astype(np.int64)
-        for t in np.unique(u):
-            edges.append((v, int(t)))
-    return from_edges(n, np.asarray(edges, dtype=np.int64))
+    # Vertex v draws min(out_degree, v) uniforms, in vertex order; a
+    # repeated pick collapses in from_edges.
+    citing = np.arange(1, max(n, 1), dtype=np.int64)
+    citing = np.repeat(citing, np.minimum(out_degree, citing))
+    # Bias toward recent vertices: sample v * u^(1/bias).
+    cited = (citing * rng.random(len(citing)) ** recency_bias).astype(np.int64)
+    return from_edges(n, _pairs(citing, cited))
 
 
 def star_forest_plus(n_hubs: int, leaves_per_hub: int, extra_p: float, seed=0) -> CSRGraph:
     """Hub-and-spoke graph with light G(n,p) noise — wiki-talk profile:
     huge maximum degree, small maximum clique."""
+    if n_hubs < 0 or leaves_per_hub < 0:
+        raise GraphConstructionError("n_hubs and leaves_per_hub must be >= 0")
     rng = _rng(seed)
     n = n_hubs * (1 + leaves_per_hub)
-    edges = []
-    for h in range(n_hubs):
-        base = n_hubs + h * leaves_per_hub
-        for i in range(leaves_per_hub):
-            edges.append((h, base + i))
-    for h1 in range(n_hubs):
-        for h2 in range(h1 + 1, n_hubs):
-            if rng.random() < 0.5:
-                edges.append((h1, h2))
+    spokes = _pairs(np.repeat(np.arange(n_hubs), leaves_per_hub),
+                    np.arange(n_hubs, n))
+    # One coin per hub pair (h1 < h2), drawn row-major, then the noise seed.
+    h1, h2 = np.triu_indices(n_hubs, k=1)
+    linked = rng.random(len(h1)) < 0.5
     noise = gnp_random(n, extra_p, seed=rng.integers(2**31)).edge_array().astype(np.int64)
-    arr = np.asarray(edges, dtype=np.int64)
-    if len(noise):
-        arr = np.concatenate([arr, noise])
-    return from_edges(n, arr)
+    return from_edges(n, np.concatenate([spokes, _pairs(h1[linked], h2[linked]),
+                                         noise]))

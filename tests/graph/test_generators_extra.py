@@ -88,9 +88,31 @@ class TestBAValidation:
         with pytest.raises(GraphConstructionError):
             gen.gnp_random(5, 1.5, seed=1)
 
+    def test_gnp_tiny_p_has_no_edges(self):
+        # Geometric gaps near the int64 maximum once overflowed their
+        # running sum, and the skip loop never ended.
+        for p in (5e-324, 1e-300, 1e-30):
+            assert gen.gnp_random(3000, p, seed=2).m == 0
+
     def test_planted_too_big(self):
         with pytest.raises(GraphConstructionError):
             gen.planted_clique(5, 0.1, 6, seed=1)
+
+
+class TestShapeValidation:
+    def test_negative_grid_dimensions(self):
+        with pytest.raises(GraphConstructionError):
+            gen.grid_road(-2, -3, seed=1)
+
+    def test_negative_star_forest_counts(self):
+        with pytest.raises(GraphConstructionError):
+            gen.star_forest_plus(3, -1, 0.1, seed=1)
+
+    def test_star_forest_hubs_without_leaves(self):
+        # Two hubs, no leaves: noise edges but possibly no hub-pair edge.
+        for seed in range(6):
+            g = gen.star_forest_plus(2, 0, 0.9, seed=seed)
+            assert g.n == 2 and g.m == 1
 
 
 class TestCamouflagedClique:
