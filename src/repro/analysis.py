@@ -1,22 +1,18 @@
-"""Post-solve analysis: work-avoidance reports and incumbent growth.
+"""Post-solve analysis: the record of a solve and its incumbent growth.
 
-Turns an :class:`~repro.core.solver.MCResult` into the narratives the paper
-builds its motivation on: how much of the graph was never touched, how the
-incumbent grew relative to work spent, and where the operations went.
+Turns an :class:`~repro.core.solver.MCResult` into plain data: where the
+filter funnel's neighbourhoods and operations went, what the execution
+engine did, and how the incumbent grew relative to work spent.
 :func:`solve_record` is the one record of a solve, shared by ``solve
 --json``, the service's :class:`~repro.service.jobs.JobResult` and its
-wire replies.  Everything is plain text / plain data — no plotting
-dependencies.
+wire replies.  Everything is plain data — no plotting dependencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core.filtering import FilterFunnel
 from .core.solver import MCResult
 from .graph.csr import CSRGraph
-from .graph import may_must_report
 
 
 def funnel_section(funnel: FilterFunnel | None, n_vertices: int) -> dict:
@@ -69,48 +65,6 @@ def engine_section(info: dict | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class WorkAvoidanceReport:
-    """How much of the instance the solver never had to look at."""
-
-    n: int
-    m: int
-    omega: int
-    gap: int
-    neighborhoods_built: int
-    neighborhoods_total: int
-    neighborhoods_considered: int
-    neighborhoods_searched: int
-    may_vertex_fraction: float
-    must_vertex_fraction: float
-
-    @property
-    def built_fraction(self) -> float:
-        return self.neighborhoods_built / self.neighborhoods_total \
-            if self.neighborhoods_total else 0.0
-
-    @property
-    def searched_fraction(self) -> float:
-        return self.neighborhoods_searched / self.neighborhoods_total \
-            if self.neighborhoods_total else 0.0
-
-
-def work_avoidance_report(graph: CSRGraph, result: MCResult) -> WorkAvoidanceReport:
-    """Quantify the zone-of-interest effect for one solve."""
-    rep = may_must_report(graph, result.omega)
-    built = (result.counters.neighborhoods_built_hash
-             + result.counters.neighborhoods_built_sorted)
-    return WorkAvoidanceReport(
-        n=graph.n, m=graph.m, omega=result.omega, gap=result.gap,
-        neighborhoods_built=built,
-        neighborhoods_total=graph.n,
-        neighborhoods_considered=result.funnel.considered,
-        neighborhoods_searched=result.funnel.searched,
-        may_vertex_fraction=rep.may_vertex_fraction,
-        must_vertex_fraction=rep.must_vertex_fraction,
-    )
-
-
 def incumbent_growth(result: MCResult) -> list[tuple[float, int]]:
     """(virtual time, incumbent size) steps, deduplicated and sorted.
 
@@ -125,32 +79,6 @@ def incumbent_growth(result: MCResult) -> list[tuple[float, int]]:
             steps.append((t, size))
             best = size
     return steps
-
-
-def format_report(graph: CSRGraph, result: MCResult) -> str:
-    """Human-readable summary of one solve."""
-    war = work_avoidance_report(graph, result)
-    lines = [
-        f"graph: {war.n} vertices, {war.m} edges",
-        f"omega = {war.omega} (degeneracy {result.degeneracy}, gap {war.gap})",
-        f"heuristics: degree {result.heuristic_degree_size}, "
-        f"coreness {result.heuristic_coreness_size}",
-        f"zone of interest: may = {100 * war.may_vertex_fraction:.2f}% of "
-        f"vertices, must = {100 * war.must_vertex_fraction:.2f}%",
-        f"neighborhood representations built: {war.neighborhoods_built} "
-        f"({100 * war.built_fraction:.2f}% of vertices)",
-        f"neighborhoods considered: {war.neighborhoods_considered}, "
-        f"searched: {war.neighborhoods_searched} "
-        f"({war.neighborhoods_searched and 100 * war.searched_fraction or 0:.3f}%)",
-        f"work: {result.counters.work} operations, "
-        f"wall: {result.wall_seconds:.3f}s"
-        + (" [TIMED OUT]" if result.timed_out else ""),
-    ]
-    growth = incumbent_growth(result)
-    if growth:
-        curve = " -> ".join(f"{s}@{int(t)}" for t, s in growth)
-        lines.append(f"incumbent growth (size@work): {curve}")
-    return "\n".join(lines)
 
 
 def solve_record(algo: str, graph: CSRGraph, result) -> dict:

@@ -64,12 +64,3 @@ def export_artifact(name: str, output_dir: str | Path,
     path = output_dir / f"{name}.json"
     path.write_text(json.dumps(record, indent=2))
     return path
-
-
-def export_all(output_dir: str | Path, config: BenchConfig | None = None,
-               names: list[str] | None = None) -> list[Path]:
-    """Export every (or the named) artifact; returns the written paths."""
-    from . import ARTIFACTS
-
-    targets = names if names is not None else list(ARTIFACTS)
-    return [export_artifact(n, output_dir, config) for n in targets]

@@ -69,9 +69,10 @@ class LazyMCConfig:
     hash_degree_threshold: int = 16
     # MC kernel backend (related work §VI, bit-level parallelism):
     # "sets" is the paper's list[set] solver, "bits" the BBMC-style
-    # bit-parallel kernel.  Both take the same (adj, bound) input.  When
-    # "bits" is selected it takes precedence over the k-VC arm, so it
-    # solves every searched neighborhood.
+    # bit-parallel kernel.  "bits" reads the neighbourhood's masks as
+    # extracted; "sets" reads sets built from them.  When "bits" is
+    # selected it takes precedence over the k-VC arm, so it solves every
+    # searched neighborhood.
     kernel_backend: str = "sets"  # "sets" | "bits"
     # Simulated parallelism (§V-F).
     threads: int = 1

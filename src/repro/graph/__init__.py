@@ -8,13 +8,12 @@ searches.
 """
 
 from .csr import CSRGraph
-from .builders import from_edges, from_adjacency, from_networkx, empty_graph, complete_graph
-from .kcore import coreness, degeneracy, peeling_order
-from .ordering import degeneracy_order, coreness_degree_order, VertexOrder, relabel_graph
+from .builders import from_edges, from_adjacency, empty_graph, complete_graph
+from .kcore import coreness, peeling_order
+from .ordering import coreness_degree_order, VertexOrder, relabel_graph
 from .complement import complement, complement_masks
-from .subgraph import (induced_subgraph, subgraph_density,
-                       induced_adjacency_sets, induced_masks)
-from .analysis import may_must_report, MayMustReport, clique_core_gap
+from .subgraph import induced_masks
+from .analysis import may_must_report, MayMustReport
 from .fingerprint import fingerprint, refine_colors
 from .metrics import GraphProfile, profile, triangle_count, global_clustering
 
@@ -22,25 +21,18 @@ __all__ = [
     "CSRGraph",
     "from_edges",
     "from_adjacency",
-    "from_networkx",
     "empty_graph",
     "complete_graph",
     "coreness",
-    "degeneracy",
     "peeling_order",
-    "degeneracy_order",
     "coreness_degree_order",
     "VertexOrder",
     "relabel_graph",
     "complement",
     "complement_masks",
-    "induced_subgraph",
-    "induced_adjacency_sets",
     "induced_masks",
-    "subgraph_density",
     "may_must_report",
     "MayMustReport",
-    "clique_core_gap",
     "fingerprint",
     "refine_colors",
     "GraphProfile",

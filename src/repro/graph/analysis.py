@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import CSRGraph
-from .kcore import coreness, degeneracy
+from .kcore import coreness
 from .subgraph import edges_within
 
 
@@ -59,11 +59,6 @@ class MayMustReport:
     @property
     def attached_edge_fraction(self) -> float:
         return self.attached_edges / self.m if self.m else 0.0
-
-
-def clique_core_gap(graph: CSRGraph, omega: int) -> int:
-    """``g(G) = d(G) + 1 - omega`` (zero means easy instances, §II)."""
-    return degeneracy(graph) + 1 - omega
 
 
 def may_must_report(graph: CSRGraph, omega: int,

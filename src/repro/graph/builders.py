@@ -101,15 +101,6 @@ def from_adjacency(adjacency: Sequence[Iterable[int]]) -> CSRGraph:
     return from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
-def from_networkx(g) -> CSRGraph:
-    """Convert a ``networkx`` graph whose nodes are ``0..n-1`` integers."""
-    n = g.number_of_nodes()
-    nodes = set(g.nodes)
-    if nodes != set(range(n)):
-        raise GraphConstructionError("networkx nodes must be exactly 0..n-1")
-    return from_edges(n, np.asarray([(u, v) for u, v in g.edges()], dtype=np.int64).reshape(-1, 2))
-
-
 def empty_graph(n: int) -> CSRGraph:
     """Graph with ``n`` vertices and no edges."""
     return from_edges(n, np.empty((0, 2), dtype=np.int64))
@@ -121,20 +112,6 @@ def complete_graph(n: int) -> CSRGraph:
         return empty_graph(max(n, 0))
     u, v = np.triu_indices(n, k=1)
     return from_edges(n, np.stack([u, v], axis=1))
-
-
-def union_disjoint(*graphs: CSRGraph) -> CSRGraph:
-    """Disjoint union; vertex ids of later graphs are shifted."""
-    n = sum(g.n for g in graphs)
-    parts = []
-    offset = 0
-    for g in graphs:
-        e = g.edge_array().astype(np.int64)
-        if len(e):
-            parts.append(e + offset)
-        offset += g.n
-    edges = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-    return from_edges(n, edges)
 
 
 def add_edges(g: CSRGraph, edges: Iterable[tuple[int, int]]) -> CSRGraph:

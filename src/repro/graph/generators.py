@@ -233,30 +233,6 @@ def powerlaw_cluster(n: int, m: int, triangle_prob: float, seed=0) -> CSRGraph:
     return from_edges(n, _pairs(np.repeat(np.arange(m, n), m), targets))
 
 
-def rmat(scale: int, edge_factor: int, a: float = 0.57, b: float = 0.19,
-         c: float = 0.19, seed=0) -> CSRGraph:
-    """Recursive-matrix (Graph500-style) generator; skewed like web crawls."""
-    n = 1 << scale
-    m = n * edge_factor
-    rng = _rng(seed)
-    d = 1.0 - a - b - c
-    if d < 0:
-        raise GraphConstructionError("a + b + c must be <= 1")
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-    for level in range(scale):
-        r = rng.random(m)
-        bit_src = (r >= a + b).astype(np.int64)
-        # Within chosen half, pick the column bit.
-        r2 = rng.random(m)
-        top = r2 < np.where(bit_src == 0, a / (a + b), c / max(c + d, 1e-12))
-        bit_dst = (~top).astype(np.int64)
-        src = (src << 1) | bit_src
-        dst = (dst << 1) | bit_dst
-    mask = src != dst
-    return from_edges(n, np.stack([src[mask], dst[mask]], axis=1))
-
-
 def grid_road(rows: int, cols: int, k4_fraction: float = 0.15, seed=0) -> CSRGraph:
     """Road-network analogue: a grid with a fraction of cells fully braced.
 

@@ -147,16 +147,3 @@ def write_metis(graph: CSRGraph, path: str | Path) -> None:
         fh.write(f"{graph.n} {graph.m}\n")
         for v in range(graph.n):
             fh.write(" ".join(str(int(u) + 1) for u in graph.neighbors(v)) + "\n")
-
-
-def loads_edge_list(text: str) -> CSRGraph:
-    """Parse an edge list from a string (testing convenience)."""
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("wt", suffix=".txt", delete=False) as fh:
-        fh.write(text)
-        name = fh.name
-    try:
-        return read_edge_list(name)
-    finally:
-        Path(name).unlink(missing_ok=True)

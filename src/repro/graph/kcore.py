@@ -127,10 +127,3 @@ def coreness_degree_filtered(graph: CSRGraph, lower_bound: int) -> np.ndarray:
     alive = graph.degrees >= lower_bound
     core, _ = _peel(graph.degrees, graph.indptr, graph.indices, alive=alive)
     return core
-
-
-def degeneracy(graph: CSRGraph) -> int:
-    """The degeneracy ``d(G)``: the largest coreness of any vertex."""
-    if graph.n == 0:
-        return 0
-    return int(coreness(graph).max())

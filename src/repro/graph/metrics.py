@@ -53,38 +53,6 @@ def global_clustering(graph: CSRGraph) -> float:
     return 3.0 * triangle_count(graph) / wedges
 
 
-def average_local_clustering(graph: CSRGraph, sample: int | None = None,
-                             seed: int = 0) -> float:
-    """Mean local clustering coefficient (optionally over a vertex sample)."""
-    n = graph.n
-    if n == 0:
-        return 0.0
-    vertices = np.arange(n)
-    if sample is not None and sample < n:
-        vertices = np.random.default_rng(seed).choice(n, size=sample,
-                                                      replace=False)
-    total = 0.0
-    for v in vertices:
-        nbrs = graph.neighbors(int(v))
-        d = len(nbrs)
-        if d < 2:
-            continue
-        member = np.zeros(n, dtype=bool)
-        member[nbrs] = True
-        links = 0
-        for u in nbrs:
-            links += int(member[graph.neighbors(int(u))].sum())
-        total += links / (d * (d - 1))
-    return total / len(vertices)
-
-
-def degree_histogram(graph: CSRGraph) -> np.ndarray:
-    """``hist[d]`` = number of vertices with degree ``d``."""
-    if graph.n == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.bincount(graph.degrees.astype(np.int64))
-
-
 def degree_assortativity(graph: CSRGraph) -> float:
     """Pearson correlation of endpoint degrees over edges (Newman's r)."""
     if graph.m == 0:

@@ -1,16 +1,14 @@
 """Vertex orderings and relabelling (§IV-F).
 
-Two orders are provided:
-
-* :func:`degeneracy_order` — the sequential Matula-Beck peeling order used
-  by MC-BRB and most sequential solvers.
-* :func:`coreness_degree_order` — the paper's parallel-friendly order: sort
-  by increasing coreness with ties broken by increasing degree.  The paper
-  computes it with SAPCo sort (a parallel counting sort by degree) followed
-  by a stable counting sort by coreness; we implement that two-phase
-  pipeline with a stable argsort per phase (vectorized rather than
-  multithreaded — a stable sort by the same keys yields the same
-  permutation as the stable counting sort, sequential or parallel).
+:func:`coreness_degree_order` is the paper's parallel-friendly order: sort
+by increasing coreness with ties broken by increasing degree.  The paper
+computes it with SAPCo sort (a parallel counting sort by degree) followed
+by a stable counting sort by coreness; we implement that two-phase
+pipeline with a stable argsort per phase (vectorized rather than
+multithreaded — a stable sort by the same keys yields the same
+permutation as the stable counting sort, sequential or parallel).  The
+sequential Matula-Beck peeling order is
+:func:`repro.graph.kcore.peeling_order`.
 
 A :class:`VertexOrder` packages the bidirectional permutation so that the
 lazy graph can remap between original and relabelled ids in O(1) per vertex.
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import CSRGraph, INDPTR_DTYPE, VERTEX_DTYPE
-from .kcore import peeling_order
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,6 @@ def _counting_sort_stable(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
     equivalent to a lexicographic sort.
     """
     return items[np.argsort(keys, kind="stable")]
-
-
-def degeneracy_order(graph: CSRGraph) -> tuple[VertexOrder, np.ndarray]:
-    """Matula-Beck peeling order.
-
-    Returns ``(order, core)`` where ``core`` is indexed by *original* id.
-    Guarantees right-neighborhood sizes bounded by the vertex coreness.
-    """
-    core, order = peeling_order(graph)
-    # Vertices outside the considered subgraph (core == -1) go last.
-    missing = np.flatnonzero(core < 0)
-    seq = np.concatenate([order, missing]) if len(missing) else order
-    return VertexOrder.from_sequence(seq), core
 
 
 def coreness_degree_order(graph: CSRGraph, core: np.ndarray) -> VertexOrder:

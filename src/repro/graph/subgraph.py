@@ -1,4 +1,4 @@
-"""Induced subgraphs and density.
+"""Induced subgraphs as bitmasks, and induced edge counts.
 
 ``NeighborSearch`` (Alg. 8) cuts out the subgraph induced by a filtered
 candidate set before handing it to the MC or k-VC sub-solver; the density of
@@ -13,8 +13,7 @@ import threading
 
 import numpy as np
 
-from ..errors import GraphConstructionError
-from .csr import CSRGraph, INDPTR_DTYPE, VERTEX_DTYPE
+from .csr import CSRGraph
 
 #: Cap on the transient k x k bit matrix :func:`induced_masks` scatters
 #: into: rows are packed in blocks of at most this many matrix bytes (one
@@ -23,50 +22,6 @@ _MASK_BLOCK_BYTES = 1 << 20
 
 #: Per-thread home of :func:`induced_masks`' id -> position table.
 _scratch = threading.local()
-
-
-def induced_subgraph(graph: CSRGraph, vertices: np.ndarray) -> CSRGraph:
-    """Subgraph induced by ``vertices`` (distinct original ids).
-
-    Local vertex ``i`` corresponds to ``vertices[i]``; the input order is
-    preserved, so callers control the local labelling (the systematic
-    search passes candidates in relabelled order, keeping right-neighborhood
-    semantics intact inside the sub-solve).
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if len(np.unique(vertices)) != len(vertices):
-        raise GraphConstructionError("induced vertex set contains duplicates")
-    k = len(vertices)
-    local = np.full(graph.n, -1, dtype=np.int64)
-    local[vertices] = np.arange(k, dtype=np.int64)
-
-    rows = []
-    indptr = np.zeros(k + 1, dtype=INDPTR_DTYPE)
-    for i, v in enumerate(vertices):
-        nbrs = local[graph.neighbors(int(v))]
-        nbrs = nbrs[nbrs >= 0]
-        nbrs.sort()
-        rows.append(nbrs.astype(VERTEX_DTYPE))
-        indptr[i + 1] = indptr[i] + len(nbrs)
-    indices = np.concatenate(rows) if rows else np.empty(0, dtype=VERTEX_DTYPE)
-    return CSRGraph(indptr, indices, validate=False)
-
-
-def induced_adjacency_sets(graph: CSRGraph, vertices: np.ndarray) -> list[set]:
-    """Induced adjacency as Python sets over local ids.
-
-    The small-subgraph branch-and-bound solvers (Tomita MC, k-VC) work on
-    set adjacency because their hot operations are membership and set
-    difference on sets of at most a few hundred elements.
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    local = np.full(graph.n, -1, dtype=np.int64)
-    local[vertices] = np.arange(len(vertices), dtype=np.int64)
-    adj: list[set] = []
-    for v in vertices:
-        nbrs = local[graph.neighbors(int(v))]
-        adj.append(set(int(x) for x in nbrs[nbrs >= 0]))
-    return adj
 
 
 def _position_table(size: int) -> np.ndarray:
@@ -122,25 +77,6 @@ def induced_masks(rows: list[np.ndarray], candidates) -> list[int]:
     finally:
         table[cand] = -1
     return masks
-
-
-def subgraph_density(graph: CSRGraph, vertices: np.ndarray) -> float:
-    """Density of the induced subgraph, without materializing it.
-
-    Counts induced edges with one vectorized membership test per candidate
-    row (``2m`` work) — the same pass filter 3 of Alg. 8 performs, which is
-    why LazyMC gets the density estimate :math:`\\hat m` for free.
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    k = len(vertices)
-    if k < 2:
-        return 0.0
-    member = np.zeros(graph.n, dtype=bool)
-    member[vertices] = True
-    twice_m = 0
-    for v in vertices:
-        twice_m += int(member[graph.neighbors(int(v))].sum())
-    return twice_m / (k * (k - 1))
 
 
 def edges_within(graph: CSRGraph, vertices: np.ndarray) -> int:

@@ -4,22 +4,20 @@ The paper's MC sub-solver is "derived from the Bron-Kerbosch algorithm ...
 uses Tomita's pivoting technique ... vertices sorted by degeneracy order ...
 pruning by comparison to the incumbent clique size [and] a coloring-based
 pruning rule".  That combination is the classic MCQ/MCS family; this package
-implements it over small set-adjacency subgraphs, which is how the
-systematic search consumes it.  :mod:`~repro.mc.bitkernel` is the same
-search in BBMC bit-parallel form (related work §VI), selected via
-``LazyMCConfig.kernel_backend``.  Both solvers take the same input,
-``solve(adj, lower_bound)`` over ``list[set]`` local-id adjacency.
+implements it over small set-adjacency subgraphs: ``solve(adj,
+lower_bound)`` takes ``list[set]`` local-id adjacency.
+:mod:`~repro.mc.bitkernel` is the same search in BBMC bit-parallel form
+(related work §VI), selected via ``LazyMCConfig.kernel_backend``; its
+``solve(masks, lower_bound)`` reads the candidate subgraph's bitmasks.
 """
 
-from .coloring import greedy_coloring, color_sort, chromatic_upper_bound
+from .coloring import color_sort
 from .branch_bound import MCSubgraphSolver, peel_order
 from .bitkernel import BitMCSubgraphSolver
 from .bronkerbosch import bron_kerbosch_pivot, enumerate_maximal_cliques
 
 __all__ = [
-    "greedy_coloring",
     "color_sort",
-    "chromatic_upper_bound",
     "MCSubgraphSolver",
     "peel_order",
     "BitMCSubgraphSolver",

@@ -4,8 +4,8 @@ This is the MC arm of the paper's algorithmic choice (§IV-E): Tomita-style
 color-bounded branch and bound with candidates processed in reverse color
 order, vertices pre-sorted by the subgraph's own degeneracy order, and
 incumbent-size pruning.  It operates on set-adjacency over local ids
-(``adj[v]`` is the set of neighbors of local vertex ``v``), the form
-``NeighborSearch`` extracts candidate subgraphs in.
+(``adj[v]`` is the set of neighbors of local vertex ``v``); ``NeighborSearch``
+extracts candidate subgraphs as bitmasks and builds these sets from them.
 """
 
 from __future__ import annotations
@@ -63,16 +63,6 @@ def peel_order(degrees: list[int], neighbors) -> list[int]:
     return order
 
 
-def _degeneracy_order_sets(adj) -> list[int]:
-    """Peeling order on set adjacency (small-n helper).
-
-    Accepts a ``list[set]`` or any mapping-like object indexable by the
-    vertex ids ``0..n-1`` (callers sometimes pass dicts).
-    """
-    return peel_order([len(adj[v]) for v in range(len(adj))],
-                      lambda v: adj[v])
-
-
 class MCSubgraphSolver:
     """Reusable solver instance carrying counters and budget."""
 
@@ -97,7 +87,7 @@ class MCSubgraphSolver:
         self._best = []
         self._best_size = lower_bound
         # Root candidates in degeneracy order: color_sort then refines.
-        self._expand([], _degeneracy_order_sets(adj))
+        self._expand([], peel_order([len(s) for s in adj], adj.__getitem__))
         return list(self._best) if self._best else None
 
     # -- internals ---------------------------------------------------------------

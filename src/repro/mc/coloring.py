@@ -2,40 +2,16 @@
 
 A proper coloring with k colors proves no clique larger than k exists in the
 colored subgraph, so the search can be cut when
-``|C| + colors(G[P]) <= |C*|`` (§II-A).  The MCQ-style solver additionally
-uses the *color-sorted* candidate order: processing candidates in decreasing
-color number makes the per-vertex bound ``|C| + color(v)`` monotone, so one
-failed test prunes the whole remainder of the candidate list.
+``|C| + colors(G[P]) <= |C*|`` (§II-A).  The MCQ-style solver colors with
+:func:`color_sort`, which returns the *color-sorted* candidate order:
+processing candidates in decreasing color number makes the per-vertex bound
+``|C| + color(v)`` monotone, so one failed test prunes the whole remainder
+of the candidate list.
 """
 
 from __future__ import annotations
 
 from ..instrument import Counters
-
-
-def greedy_coloring(adj: list[set], vertices: list[int],
-                    counters: Counters | None = None) -> dict[int, int]:
-    """Sequential greedy coloring of ``vertices`` in the given order.
-
-    Returns a map vertex -> color number (1-based).  The order matters; the
-    caller passes degeneracy order for tight bounds.
-    """
-    colors: dict[int, int] = {}
-    probes = 0
-    for v in vertices:
-        used = set()
-        for u in adj[v]:
-            probes += 1
-            if u in colors:
-                used.add(colors[u])
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    if counters is not None:
-        counters.colorings += 1
-        counters.elements_scanned += probes
-    return colors
 
 
 def color_sort(adj: list[set], candidates: list[int],
@@ -79,17 +55,3 @@ def color_sort(adj: list[set], candidates: list[int],
         counters.colorings += 1
         counters.elements_scanned += probes
     return ordered, colors
-
-
-def chromatic_upper_bound(adj: list[set], vertices: list[int] | None = None) -> int:
-    """Number of colors used by the greedy coloring — an upper bound on ω.
-
-    With ``vertices=None`` all vertices are colored in descending-degree
-    (Welsh-Powell) order, which tends to minimize the greedy color count.
-    """
-    if vertices is None:
-        vertices = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
-    if not vertices:
-        return 0
-    coloring = greedy_coloring(adj, vertices)
-    return max(coloring.values())

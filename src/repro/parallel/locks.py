@@ -1,4 +1,4 @@
-"""Striped locks and double-checked locking (Alg. 2).
+"""Striped locks for the lazy graph's double-checked locking (Alg. 2).
 
 The lazy graph guards per-vertex neighborhood construction with
 double-checked locking: a lock-free fast path reads an "initialized" flag,
@@ -14,7 +14,6 @@ use of the library.
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 
 class StripedLocks:
@@ -32,17 +31,3 @@ class StripedLocks:
 
     def __len__(self) -> int:
         return self._stripes
-
-
-def double_checked(flag_read: Callable[[], bool], lock: threading.Lock,
-                   construct: Callable[[], None]) -> None:
-    """Run ``construct`` exactly once under ``lock`` unless the flag is set.
-
-    The canonical double-checked locking shape of Alg. 2: a racy read of
-    the flag, then a re-check under the lock before constructing.
-    """
-    if flag_read():
-        return
-    with lock:
-        if not flag_read():
-            construct()

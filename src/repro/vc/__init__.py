@@ -12,21 +12,14 @@ the complement's masks are built once per neighbourhood and read by every
 probe.
 """
 
-from .kernelization import kernelize, KernelResult
+from .kernelization import kernelize_masks
 from .paths_cycles import vc_paths_and_cycles
-from .branch_bound import decide_kvc, decide_kvc_masks, minimum_vertex_cover
-from .clique_via_vc import (
-    clique_exists_via_vc, max_clique_via_vc, max_clique_via_vc_masks,
-)
+from .branch_bound import decide_kvc_masks
+from .clique_via_vc import max_clique_via_vc_masks
 
 __all__ = [
-    "kernelize",
-    "KernelResult",
+    "kernelize_masks",
     "vc_paths_and_cycles",
-    "decide_kvc",
     "decide_kvc_masks",
-    "minimum_vertex_cover",
-    "max_clique_via_vc",
     "max_clique_via_vc_masks",
-    "clique_exists_via_vc",
 ]

@@ -16,8 +16,7 @@ depend on set iteration order.
 
 The decision form ``decide_kvc_masks`` is what the clique reduction's binary
 search and the dOmega baseline consume, on complement masks they build
-once; ``decide_kvc`` is its set-adjacency form, and ``minimum_vertex_cover``
-wraps that in a binary search over k.
+once.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from ..instrument import Counters, WorkBudget
 # The per-node kernel goes by ``kernelize`` here: perfbench's
 # ``kvc.kernelize`` layer wraps this module's ``kernelize``.
 from .kernelization import (
-    adjacency_masks, kernelize_masks as kernelize, mask_ids,
-    residual_adjacency,
+    kernelize_masks as kernelize, mask_ids, residual_adjacency,
 )
 from .paths_cycles import vc_paths_and_cycles
 
@@ -120,30 +118,3 @@ def decide_kvc_masks(masks: list[int], verts: list[int], k: int,
     # Deduplicate while preserving determinism.
     return sorted(set(result))
 
-
-def decide_kvc(adj: list[set], k: int, counters: Counters | None = None,
-               budget: WorkBudget | None = None) -> list[int] | None:
-    """:func:`decide_kvc_masks` on set adjacency (``adj`` is not mutated)."""
-    masks = adjacency_masks(adj)
-    return decide_kvc_masks(masks, [v for v, m in enumerate(masks) if m], k,
-                            counters, budget)
-
-
-def minimum_vertex_cover(adj: list[set], counters: Counters | None = None,
-                         budget: WorkBudget | None = None) -> list[int]:
-    """Exact minimum vertex cover by binary search over ``decide_kvc``."""
-    n = len(adj)
-    if n == 0:
-        return []
-    lo, hi = 0, n
-    best: list[int] = list(range(n))
-    # Standard binary search for the smallest feasible k.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cover = decide_kvc(adj, mid, counters=counters, budget=budget)
-        if cover is not None:
-            best = cover
-            hi = len(cover)
-        else:
-            lo = mid + 1
-    return best

@@ -12,8 +12,7 @@ of the range.
 The reduction works on Python-int bitmasks: the complement masks and their
 vertex list are built once per neighbourhood, and every probe of the binary
 search decides on those same masks.  ``max_clique_via_vc_masks`` is the
-form ``NeighborSearch`` calls; ``max_clique_via_vc`` and
-``clique_exists_via_vc`` take set adjacency.
+form ``NeighborSearch`` calls.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 from ..graph.complement import complement_masks
 from ..instrument import Counters, WorkBudget
 from .branch_bound import decide_kvc_masks
-from .kernelization import adjacency_masks
 
 
 def _probe(comp: list[int], verts: list[int], size: int,
@@ -38,22 +36,8 @@ def _probe(comp: list[int], verts: list[int], size: int,
     if cover is None:
         return None
     in_cover = set(cover)
-    # decide_kvc may return a smaller cover than k, giving a larger clique.
+    # The cover may be smaller than k, giving a larger clique.
     return [v for v in range(n) if v not in in_cover]
-
-
-def clique_exists_via_vc(adj: list[set], size: int,
-                         counters: Counters | None = None,
-                         budget: WorkBudget | None = None) -> list[int] | None:
-    """Return a clique of at least ``size`` vertices, or ``None``.
-
-    Decides via one k-VC call on the complement with k = n - size.
-    """
-    if size <= 0:
-        return []
-    comp = complement_masks(adjacency_masks(adj))
-    return _probe(comp, [v for v, m in enumerate(comp) if m], size,
-                  counters, budget)
 
 
 def max_clique_via_vc_masks(masks: list[int], lower_bound: int = 0,
@@ -94,10 +78,3 @@ def max_clique_via_vc_masks(masks: list[int], lower_bound: int = 0,
             lo = len(clique) + 1
     return best
 
-
-def max_clique_via_vc(adj: list[set], lower_bound: int = 0,
-                      counters: Counters | None = None,
-                      budget: WorkBudget | None = None) -> list[int] | None:
-    """:func:`max_clique_via_vc_masks` on set adjacency."""
-    return max_clique_via_vc_masks(adjacency_masks(adj), lower_bound,
-                                   counters, budget)

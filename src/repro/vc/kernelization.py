@@ -18,39 +18,14 @@ degree is ``(masks[v] & alive).bit_count()`` and a vertex leaves by
 clearing its bit in ``alive``.  Nothing is copied or mutated, and every
 choice is made in id order, so the result does not depend on set iteration
 order.  ``kernelize_masks`` is the kernel the branch-and-bound runs at
-every node; ``kernelize`` is its set-based form.
+every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import cycle
 
 from ..instrument import Counters
-
-
-@dataclass
-class KernelResult:
-    """Outcome of kernelization.
-
-    ``feasible`` false means the instance is a proven no-instance.  When
-    feasible, ``adj`` is the residual instance (same vertex ids, covered or
-    removed vertices have empty adjacency), ``forced`` lists vertices that
-    every cover of size <= k must (or may safely) contain, and ``k`` is the
-    residual budget.
-    """
-
-    feasible: bool
-    adj: list[set] = field(default_factory=list)
-    forced: list[int] = field(default_factory=list)
-    k: int = 0
-
-
-def adjacency_masks(adj: list[set]) -> list[int]:
-    """One neighbourhood bitmask per vertex: bit u of ``masks[v]`` is set
-    iff u is in ``adj[v]``."""
-    bit = [1 << u for u in range(len(adj))]
-    return [sum(map(bit.__getitem__, s)) for s in adj]
 
 
 def mask_ids(x: int) -> list[int]:
@@ -134,16 +109,3 @@ def kernelize_masks(masks: list[int], alive: int, k: int, verts: list[int],
         return None
     return alive, k, forced, verts, deg
 
-
-def kernelize(adj: list[set], k: int,
-              counters: Counters | None = None) -> KernelResult:
-    """Apply all rules to a fixpoint; ``adj`` is not mutated."""
-    masks = adjacency_masks(adj)
-    verts = [v for v, s in enumerate(adj) if s]
-    kernel = kernelize_masks(masks, (1 << len(adj)) - 1, k, verts, counters)
-    if kernel is None:
-        return KernelResult(feasible=False)
-    alive, k, forced, verts, _ = kernel
-    return KernelResult(feasible=True,
-                        adj=residual_adjacency(masks, alive, verts),
-                        forced=forced, k=k)

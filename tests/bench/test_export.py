@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.export import export_all, export_artifact
+from repro.bench.export import export_artifact
 from repro.bench.harness import BenchConfig
 
 SMALL = BenchConfig(datasets=("CAroad",), repeats=1, timeout_seconds=20.0)
@@ -25,8 +25,13 @@ class TestExport:
             export_artifact("nope", tmp_path, SMALL)
 
     def test_export_selected(self, tmp_path):
-        paths = export_all(tmp_path, SMALL, names=["fig1", "fig2"])
-        assert sorted(p.name for p in paths) == ["fig1.json", "fig2.json"]
+        from repro.cli import main
+
+        for name in ("fig1", "fig2"):
+            assert main(["bench", name, "--datasets", "CAroad",
+                         "--repeats", "1", "--output", str(tmp_path)]) == 0
+        paths = sorted(tmp_path.iterdir())
+        assert [p.name for p in paths] == ["fig1.json", "fig2.json"]
         for p in paths:
             json.loads(p.read_text())  # valid JSON
 

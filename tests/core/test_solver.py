@@ -168,9 +168,9 @@ class TestResultMetadata:
         for seed in range(5):
             g = random_graph(30, 0.3, seed=seed + 40)
             r = lazymc(g)
-            from repro.graph import degeneracy
+            from repro.graph import coreness
 
-            assert r.degeneracy == degeneracy(g)
+            assert r.degeneracy == coreness(g).max()
             assert r.gap == r.degeneracy + 1 - r.omega
             assert r.gap >= 0
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import from_edges, complete_graph, coreness, may_must_report, clique_core_gap
+from repro.graph import from_edges, complete_graph, coreness, may_must_report
 from repro.graph.io import (
     read_edge_list, write_edge_list, read_dimacs, write_dimacs,
-    read_metis, write_metis, loads_edge_list,
+    read_metis, write_metis,
 )
 from repro.graph import generators as gen
 from tests.conftest import brute_force_max_clique
@@ -26,14 +26,17 @@ class TestEdgeListIO:
         write_edge_list(g, path)
         assert read_edge_list(path) == g
 
-    def test_one_indexed_autodetect(self):
-        g = loads_edge_list("1 2\n2 3\n")
+    def test_one_indexed_autodetect(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 2\n2 3\n")
+        g = read_edge_list(path)
         assert g.n == 3
         assert g.has_edge(0, 1) and g.has_edge(1, 2)
 
-    def test_comments_skipped(self):
-        g = loads_edge_list("# header\n% other\n0 1\n")
-        assert g.m == 1
+    def test_comments_skipped(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# header\n% other\n0 1\n")
+        assert read_edge_list(path).m == 1
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -112,7 +115,7 @@ class TestMayMust:
         assert rep.attached_edges == 4
 
     def test_gap_helper(self):
-        assert clique_core_gap(complete_graph(5), 5) == 0
+        assert may_must_report(complete_graph(5), 5).gap == 0
 
 
 class TestGenerators:
@@ -148,11 +151,6 @@ class TestGenerators:
         g = gen.powerlaw_cluster(80, 3, 0.6, seed=2)
         assert g.n == 80
         assert g.m >= 3 * 70
-
-    def test_rmat_shape(self):
-        g = gen.rmat(7, 4, seed=9)
-        assert g.n == 128
-        assert g.m > 100
 
     def test_grid_road_properties(self):
         g = gen.grid_road(10, 10, k4_fraction=0.3, seed=4)

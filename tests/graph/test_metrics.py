@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import complete_graph, empty_graph, from_edges
 from repro.graph.metrics import (
-    GraphProfile, average_local_clustering, degree_assortativity,
-    degree_histogram, global_clustering, profile, triangle_count,
+    GraphProfile, degree_assortativity, global_clustering, profile,
+    triangle_count,
 )
 from tests.conftest import random_graph
 
@@ -51,24 +51,8 @@ class TestClustering:
             assert global_clustering(g) == pytest.approx(
                 nx.transitivity(g.to_networkx()))
 
-    def test_average_local_matches_networkx(self):
-        import networkx as nx
-
-        g = random_graph(20, 0.35, seed=3)
-        assert average_local_clustering(g) == pytest.approx(
-            nx.average_clustering(g.to_networkx()))
-
-    def test_sampled_clustering_bounded(self):
-        g = random_graph(60, 0.2, seed=4)
-        c = average_local_clustering(g, sample=20, seed=1)
-        assert 0.0 <= c <= 1.0
-
 
 class TestDegreeStats:
-    def test_histogram(self):
-        g = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert list(degree_histogram(g)) == [0, 3, 0, 1]
-
     def test_assortativity_range(self):
         for seed in range(4):
             g = random_graph(25, 0.3, seed=seed + 1100)
@@ -81,7 +65,6 @@ class TestDegreeStats:
 
     def test_empty(self):
         assert degree_assortativity(empty_graph(3)) == 0.0
-        assert list(degree_histogram(empty_graph(0))) == [0]
 
 
 class TestProfile:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     from_edges, complete_graph,
-    coreness, degeneracy_order, coreness_degree_order, relabel_graph, VertexOrder,
+    coreness, coreness_degree_order, peeling_order, relabel_graph, VertexOrder,
 )
 from repro.graph.ordering import _counting_sort_stable
 from tests.conftest import random_graph
@@ -50,15 +50,18 @@ class TestCountingSort:
 
 
 class TestDegeneracyOrder:
+    """The Matula-Beck peeling order of :func:`peeling_order`."""
+
     def test_is_permutation(self):
         g = random_graph(20, 0.3, seed=9)
-        order, _ = degeneracy_order(g)
-        assert sorted(order.new_to_old.tolist()) == list(range(20))
+        _, order = peeling_order(g)
+        assert sorted(order.tolist()) == list(range(20))
 
     def test_right_neighborhoods_bounded(self):
         for seed in range(4):
             g = random_graph(22, 0.4, seed=seed)
-            order, core = degeneracy_order(g)
+            core, peel = peeling_order(g)
+            order = VertexOrder.from_sequence(peel)
             for v_new in range(g.n):
                 v_old = order.relabelled_to_original(v_new)
                 right = [u for u in g.neighbors(v_old)

@@ -1,61 +1,46 @@
-"""Tests for induced subgraphs, density and complement."""
+"""Tests for induced-subgraph masks, induced edge counts and complement."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import GraphConstructionError
 from repro.graph import (
     from_edges, complete_graph, empty_graph, complement, complement_masks,
-    induced_subgraph, induced_adjacency_sets, induced_masks,
-    subgraph_density,
+    induced_masks,
 )
 from repro.graph import subgraph
 from repro.graph.subgraph import edges_within
 from tests.conftest import random_graph
 
 
+def edge_count(masks):
+    return sum(m.bit_count() for m in masks) // 2
+
+
 class TestInducedSubgraph:
+    """The subgraph a candidate list induces, as :func:`induced_masks`
+    extracts it."""
+
     def test_triangle_from_k4_plus(self):
         g = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-        sub = induced_subgraph(g, np.array([0, 1, 2]))
-        assert sub.n == 3
-        assert sub.m == 3
+        masks = induced_masks([g.neighbors(u) for u in (0, 1, 2)], [0, 1, 2])
+        assert masks == [0b110, 0b101, 0b011]
+        assert edge_count(masks) == 3
 
     def test_preserves_input_order(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        sub = induced_subgraph(g, np.array([3, 1, 2]))
+        masks = induced_masks([g.neighbors(u) for u in (3, 1, 2)], [3, 1, 2])
         # local 0 = old 3, local 1 = old 1, local 2 = old 2
-        assert sub.has_edge(0, 2)   # 3-2
-        assert sub.has_edge(1, 2)   # 1-2
-        assert not sub.has_edge(0, 1)
-
-    def test_duplicates_rejected(self):
-        g = complete_graph(4)
-        with pytest.raises(GraphConstructionError):
-            induced_subgraph(g, np.array([0, 0, 1]))
-
-    def test_empty_selection(self):
-        g = complete_graph(4)
-        sub = induced_subgraph(g, np.array([], dtype=np.int64))
-        assert sub.n == 0
+        assert masks[0] >> 2 & 1   # 3-2
+        assert masks[1] >> 2 & 1   # 1-2
+        assert not masks[0] >> 1 & 1
 
     def test_matches_networkx(self):
         g = random_graph(20, 0.3, seed=21)
         verts = np.array([1, 4, 7, 10, 13, 16])
-        sub = induced_subgraph(g, verts)
+        masks = induced_masks([g.neighbors(u) for u in verts], verts)
         nxg = g.to_networkx().subgraph(verts.tolist())
-        assert sub.m == nxg.number_of_edges()
-
-
-class TestAdjacencySets:
-    def test_matches_induced_subgraph(self):
-        g = random_graph(15, 0.4, seed=8)
-        verts = np.array([0, 3, 6, 9, 12])
-        adj = induced_adjacency_sets(g, verts)
-        sub = induced_subgraph(g, verts)
-        for i in range(len(verts)):
-            assert adj[i] == sub.neighbor_set(i)
+        assert edge_count(masks) == nxg.number_of_edges()
 
 
 class TestInducedMasks:
@@ -79,9 +64,10 @@ class TestInducedMasks:
 
     def test_matches_adjacency_sets(self):
         g = random_graph(15, 0.4, seed=8)
-        verts = np.array([12, 0, 9, 3, 6])
+        verts = [12, 0, 9, 3, 6]
         masks = induced_masks([g.neighbors(u) for u in verts], verts)
-        adj = induced_adjacency_sets(g, verts)
+        adj = [{j for j, w in enumerate(verts) if g.has_edge(u, w)}
+               for u in verts]
         assert masks == [sum(1 << j for j in s) for s in adj]
 
     def test_blocks_of_rows(self, monkeypatch):
@@ -123,22 +109,6 @@ class TestInducedMasks:
 
 
 class TestDensity:
-    def test_clique_density_one(self):
-        g = complete_graph(6)
-        assert subgraph_density(g, np.arange(6)) == 1.0
-        assert subgraph_density(g, np.array([0, 2, 4])) == 1.0
-
-    def test_empty_density_zero(self):
-        g = empty_graph(5)
-        assert subgraph_density(g, np.arange(5)) == 0.0
-        assert subgraph_density(g, np.array([0])) == 0.0
-
-    def test_matches_materialized_density(self):
-        g = random_graph(18, 0.35, seed=3)
-        verts = np.array([0, 2, 5, 7, 11, 13, 17])
-        assert subgraph_density(g, verts) == pytest.approx(
-            induced_subgraph(g, verts).density)
-
     def test_edges_within(self):
         g = from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         assert edges_within(g, np.array([0, 1, 2])) == 3

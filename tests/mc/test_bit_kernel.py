@@ -14,7 +14,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import BudgetExceeded
 from repro.instrument import Counters, WorkBudget
 from repro.mc import BitMCSubgraphSolver, MCSubgraphSolver
-from repro.vc.kernelization import adjacency_masks
+
+
+def masks_of(adj):
+    return [sum(1 << u for u in s) for s in adj]
 
 
 def _random_adj(n: int, p: float, seed: int) -> list[set]:
@@ -43,7 +46,7 @@ class TestBitsVsSetsEquivalence:
     def test_same_size_and_valid(self, n, p, seed, lb):
         adj = _random_adj(n, p, seed)
         sets_found = MCSubgraphSolver().solve(adj, lower_bound=lb)
-        bits_found = BitMCSubgraphSolver().solve(adjacency_masks(adj),
+        bits_found = BitMCSubgraphSolver().solve(masks_of(adj),
                                                  lower_bound=lb)
         if sets_found is None:
             assert bits_found is None
@@ -59,7 +62,7 @@ class TestBitsVsSetsEquivalence:
         for seed in range(4):
             adj = _random_adj(24, p, seed * 31 + 5)
             sets_found = MCSubgraphSolver().solve(adj)
-            bits_found = BitMCSubgraphSolver().solve(adjacency_masks(adj))
+            bits_found = BitMCSubgraphSolver().solve(masks_of(adj))
             assert len(bits_found) == len(sets_found)
             assert _is_clique(adj, bits_found)
 
@@ -70,7 +73,7 @@ class TestBitsVsSetsEquivalence:
         adj = _random_adj(16, 0.6, 9)
         counters = Counters()
         found = BitMCSubgraphSolver(counters=counters).solve(
-            adjacency_masks(adj))
+            masks_of(adj))
         assert _is_clique(adj, found)
         assert counters.words_scanned > 0
 
@@ -82,7 +85,7 @@ class TestBitsBudgetParity:
         budget = WorkBudget(max_work=5, counters=counters)
         solver = BitMCSubgraphSolver(counters=counters, budget=budget)
         with pytest.raises(BudgetExceeded):
-            solver.solve(adjacency_masks(adj))
+            solver.solve(masks_of(adj))
         assert counters.work > 5
 
     def test_both_backends_trip_on_tiny_budget(self):
@@ -91,7 +94,7 @@ class TestBitsBudgetParity:
         # below either backend's full-solve cost trips both.
         adj = _random_adj(40, 0.7, 11)
         for solver_cls, graph in ((MCSubgraphSolver, adj),
-                                  (BitMCSubgraphSolver, adjacency_masks(adj))):
+                                  (BitMCSubgraphSolver, masks_of(adj))):
             counters = Counters()
             budget = WorkBudget(max_work=50, counters=counters)
             with pytest.raises(BudgetExceeded):
@@ -103,5 +106,5 @@ class TestBitsBudgetParity:
         budget = WorkBudget(max_work=10**9, counters=counters)
         base = MCSubgraphSolver().solve(adj)
         found = BitMCSubgraphSolver(counters=counters,
-                                    budget=budget).solve(adjacency_masks(adj))
+                                    budget=budget).solve(masks_of(adj))
         assert len(found) == len(base)

@@ -1,15 +1,13 @@
 """Tests for coloring, Bron-Kerbosch and the MC branch-and-bound solver."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import BudgetExceeded
 from repro.graph import from_edges, complete_graph
-from repro.graph.subgraph import induced_adjacency_sets
 from repro.instrument import Counters, WorkBudget
 from repro.mc import (
-    greedy_coloring, color_sort, chromatic_upper_bound,
+    color_sort,
     MCSubgraphSolver,
     bron_kerbosch_pivot, enumerate_maximal_cliques,
 )
@@ -18,7 +16,7 @@ from tests.conftest import brute_force_max_clique, random_graph
 
 
 def adj_of(graph):
-    return induced_adjacency_sets(graph, np.arange(graph.n))
+    return [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
 
 
 def is_clique(adj, vertices):
@@ -30,7 +28,8 @@ class TestColoring:
     def test_proper_coloring(self):
         g = random_graph(15, 0.4, seed=1)
         adj = adj_of(g)
-        colors = greedy_coloring(adj, list(range(15)))
+        ordered, classes = color_sort(adj, list(range(15)))
+        colors = dict(zip(ordered, classes))
         for v in range(15):
             for u in adj[v]:
                 assert colors[u] != colors[v]
@@ -40,7 +39,8 @@ class TestColoring:
             g = random_graph(14, 0.5, seed=seed)
             adj = adj_of(g)
             omega = len(brute_force_max_clique(g))
-            assert chromatic_upper_bound(adj) >= omega
+            _, colors = color_sort(adj, list(range(14)))
+            assert colors[-1] >= omega
 
     def test_color_sort_monotone_and_proper(self):
         g = random_graph(16, 0.5, seed=3)
@@ -56,7 +56,6 @@ class TestColoring:
             assert not any(u in adj[v] for i, v in enumerate(cls) for u in cls[i + 1:])
 
     def test_empty(self):
-        assert chromatic_upper_bound([]) == 0
         assert color_sort([], []) == ([], [])
 
 

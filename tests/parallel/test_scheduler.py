@@ -6,7 +6,6 @@ import pytest
 
 from repro.instrument import Counters
 from repro.parallel import Incumbent, IncumbentView, SimulatedScheduler, StripedLocks
-from repro.parallel.locks import double_checked
 
 
 class TestIncumbent:
@@ -169,34 +168,40 @@ class TestLocks:
         with pytest.raises(ValueError):
             StripedLocks(stripes=0)
 
+    @staticmethod
+    def _lazy_graph():
+        """A lazy graph, whose neighbourhood builds take the striped locks
+        in the double-checked shape of Alg. 2."""
+        from repro.core import LazyGraph, LazyMCConfig
+        from repro.graph import complete_graph, coreness, coreness_degree_order
+
+        g = complete_graph(6)
+        core = coreness(g)
+        return LazyGraph(g, coreness_degree_order(g, core), core,
+                         LazyMCConfig(), Counters())
+
     def test_double_checked_constructs_once(self):
-        state = {"built": 0, "flag": False}
-        lock = threading.Lock()
-
-        def construct():
-            state["built"] += 1
-            state["flag"] = True
-
-        for _ in range(3):
-            double_checked(lambda: state["flag"], lock, construct)
-        assert state["built"] == 1
+        lazy = self._lazy_graph()
+        reps = [lazy.hashed_neighborhood(0) for _ in range(3)]
+        assert all(rep is reps[0] for rep in reps)
+        assert lazy.counters.neighborhoods_built_hash == 1
 
     def test_double_checked_under_real_threads(self):
-        state = {"built": 0, "flag": False}
-        lock = threading.Lock()
+        lazy = self._lazy_graph()
+        barrier = threading.Barrier(16)
+        reps = []
 
-        def construct():
-            state["built"] += 1
-            state["flag"] = True
+        def build():
+            barrier.wait()
+            reps.append(lazy.hashed_neighborhood(0))
 
-        threads = [threading.Thread(
-            target=lambda: double_checked(lambda: state["flag"], lock, construct))
-            for _ in range(16)]
+        threads = [threading.Thread(target=build) for _ in range(16)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert state["built"] == 1
+        assert len(reps) == 16 and all(rep is reps[0] for rep in reps)
+        assert lazy.counters.neighborhoods_built_hash == 1
 
 
 class TestSchedulerInvariants:

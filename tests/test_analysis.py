@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro import lazymc
-from repro.analysis import (
-    format_report, incumbent_growth, solve_record, work_avoidance_report,
-)
+from repro.analysis import incumbent_growth, solve_record
+from repro.graph import may_must_report
 from repro.graph.generators import planted_clique, with_periphery
 from tests.conftest import random_graph
 
@@ -19,20 +18,24 @@ def solved():
     return graph, lazymc(graph)
 
 
+def built(result) -> int:
+    return (result.counters.neighborhoods_built_hash
+            + result.counters.neighborhoods_built_sorted)
+
+
 class TestWorkAvoidance:
     def test_fractions_bounded(self, solved):
         graph, result = solved
-        war = work_avoidance_report(graph, result)
-        assert 0.0 <= war.built_fraction <= 1.0
-        assert 0.0 <= war.searched_fraction <= 1.0
-        assert war.must_vertex_fraction <= war.may_vertex_fraction
+        assert 0 <= built(result) <= graph.n
+        assert 0 <= result.funnel.searched <= graph.n
+        rep = may_must_report(graph, result.omega)
+        assert rep.must_vertex_fraction <= rep.may_vertex_fraction
 
     def test_laziness_visible(self, solved):
         """On a periphery-dominated instance almost nothing is built."""
         graph, result = solved
-        war = work_avoidance_report(graph, result)
-        assert war.built_fraction < 0.2
-        assert war.omega == 10
+        assert built(result) < 0.2 * graph.n
+        assert result.omega == 10
 
 
 class TestIncumbentGrowth:
@@ -50,13 +53,6 @@ class TestIncumbentGrowth:
 
 
 class TestFormatting:
-    def test_format_report_contains_key_lines(self, solved):
-        graph, result = solved
-        text = format_report(graph, result)
-        assert "omega = 10" in text
-        assert "zone of interest" in text
-        assert "neighborhood representations built" in text
-
     def test_record_json_round_trip(self, solved):
         graph, result = solved
         record = solve_record("lazymc", graph, result)
@@ -72,4 +68,5 @@ class TestFormatting:
 
         g = random_graph(50, 0.5, seed=9)
         r = lazymc(g, LazyMCConfig(max_work=100))
-        assert "[TIMED OUT]" in format_report(g, r)
+        record = solve_record("lazymc", g, r)
+        assert record["timed_out"] is True and record["exact"] is False

@@ -1,19 +1,16 @@
 """Cross-cutting property-based tests tying the subsystems together."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import LazyMCConfig, lazymc
 from repro.core import LazyGraph
 from repro.graph import (
-    complement, coreness, coreness_degree_order, degeneracy_order,
-    from_edges, relabel_graph,
+    complement, coreness, coreness_degree_order, from_edges, relabel_graph,
 )
 from repro.graph.kcore import coreness_degree_filtered
 from repro.instrument import Counters
-from repro.vc import minimum_vertex_cover
-from repro.graph.subgraph import induced_adjacency_sets
+from repro.vc import decide_kvc_masks
 from tests.conftest import brute_force_max_clique, random_graph
 
 
@@ -77,11 +74,15 @@ class TestSolverOracleProperties:
     @given(graphs_strategy)
     @settings(max_examples=20, deadline=None)
     def test_vc_clique_duality(self, g):
-        """|MVC(complement)| == n - omega (§II-B)."""
+        """|MVC(complement)| == n - omega (§II-B): a cover of that size
+        exists and none smaller."""
         gc = complement(g)
-        adj = induced_adjacency_sets(gc, np.arange(gc.n))
-        mvc = minimum_vertex_cover(adj)
-        assert len(mvc) == g.n - lazymc(g).omega
+        masks = [sum(1 << int(u) for u in gc.neighbors(v))
+                 for v in range(gc.n)]
+        verts = [v for v, m in enumerate(masks) if m]
+        k = g.n - lazymc(g).omega
+        assert decide_kvc_masks(masks, verts, k) is not None
+        assert decide_kvc_masks(masks, verts, k - 1) is None
 
 
 class TestBoundedCorenessProperties:

@@ -12,16 +12,41 @@ iteration order of the caller's sets, which the frozen copy's do.
 
 import itertools
 import random
+from dataclasses import dataclass, field
 
 from hypothesis import given, settings, strategies as st
 
+from repro.graph.complement import complement_masks
 from repro.instrument import Counters
-from repro.vc import (
-    decide_kvc, kernelize, max_clique_via_vc, minimum_vertex_cover,
-)
+from repro.vc import decide_kvc_masks, kernelize_masks, max_clique_via_vc_masks
 from repro.vc.branch_bound import clique_cover_bound
-from repro.vc.kernelization import KernelResult, adjacency_masks
+from repro.vc.kernelization import residual_adjacency
 from repro.vc.paths_cycles import vc_paths_and_cycles
+
+
+@dataclass
+class KernelResult:
+    """The frozen kernel's outcome: the residual sets, the forced
+    vertices and the residual budget, or ``feasible=False``."""
+
+    feasible: bool
+    adj: list = field(default_factory=list)
+    forced: list = field(default_factory=list)
+    k: int = 0
+
+
+def masks_of(adj):
+    return [sum(1 << u for u in s) for s in adj]
+
+
+def verts_of(adj):
+    return [v for v, s in enumerate(adj) if s]
+
+
+def _min_cover_size(adj):
+    """|MVC(adj)| = n - ω(complement of adj), by the clique reduction."""
+    return len(adj) - len(max_clique_via_vc_masks(
+        complement_masks(masks_of(adj))) or [])
 
 
 def _frozen_remove_vertex(adj, v):
@@ -220,17 +245,20 @@ class TestFrozenEquivalence:
         want = Counters()
         got = Counters()
         frozen = _frozen_kernelize(adj, k, counters=want)
-        kr = kernelize(adj, k, counters=got)
-        assert kr.feasible == frozen.feasible
+        masks = masks_of(adj)
+        kernel = kernelize_masks(masks, (1 << len(adj)) - 1, k, verts_of(adj),
+                                 counters=got)
+        assert (kernel is not None) == frozen.feasible
         assert got.as_dict() == want.as_dict()
         if frozen.feasible:
-            assert sorted(kr.forced) == sorted(frozen.forced)
-            assert kr.k == frozen.k
-            assert kr.adj == frozen.adj
+            alive, residual_k, forced, verts, _ = kernel
+            assert sorted(forced) == sorted(frozen.forced)
+            assert residual_k == frozen.k
+            assert residual_adjacency(masks, alive, verts) == frozen.adj
 
     @staticmethod
     def _assert_same_decision(adj, k):
-        got = decide_kvc(adj, k)
+        got = decide_kvc_masks(masks_of(adj), verts_of(adj), k)
         want = _frozen_decide_kvc(adj, k)
         assert (got is None) == (want is None)
         if got is not None:
@@ -245,7 +273,7 @@ class TestFrozenEquivalence:
     @given(dense_complements)
     @settings(max_examples=100, deadline=None)
     def test_decide_kvc_at_the_cover_size(self, adj):
-        opt = len(minimum_vertex_cover(adj))
+        opt = _min_cover_size(adj)
         self._assert_same_decision(adj, opt - 1)
         self._assert_same_decision(adj, opt)
 
@@ -264,8 +292,8 @@ class TestCliqueCoverBound:
     @settings(max_examples=200, deadline=None)
     def test_never_exceeds_the_minimum_cover(self, n, p, seed):
         adj = _random_adjacency(n, p, seed)
-        masks = adjacency_masks(adj)
-        verts = [v for v in range(n) if adj[v]]
+        masks = masks_of(adj)
+        verts = verts_of(adj)
         deg = [len(s) for s in adj]
         bound = clique_cover_bound(masks, (1 << n) - 1, verts, deg, n)
         assert bound <= _brute_min_vc(adj)
@@ -273,7 +301,7 @@ class TestCliqueCoverBound:
     def test_complete_graph_is_one_clique(self):
         n = 7
         adj = [set(range(n)) - {v} for v in range(n)]
-        bound = clique_cover_bound(adjacency_masks(adj), (1 << n) - 1,
+        bound = clique_cover_bound(masks_of(adj), (1 << n) - 1,
                                    list(range(n)), [n - 1] * n, n)
         assert bound == n - 1 == _brute_min_vc(adj)
 
@@ -285,14 +313,15 @@ class TestOrderFreedom:
     @staticmethod
     def _run(adj, k):
         counters = Counters()
-        return decide_kvc(adj, k, counters=counters), counters.as_dict()
+        return (decide_kvc_masks(masks_of(adj), verts_of(adj), k, counters),
+                counters.as_dict())
 
     @given(dense_complements)
     @settings(max_examples=100, deadline=None)
     def test_decide_kvc(self, adj):
         other = _reordered(adj)
         assert other == adj
-        opt = len(minimum_vertex_cover(adj))
+        opt = _min_cover_size(adj)
         for k in (opt - 1, opt):
             assert self._run(other, k) == self._run(adj, k)
 
@@ -301,7 +330,7 @@ class TestOrderFreedom:
         count moves under reordering, the mask search's does not."""
         adj = complement_adjacency_sets(_random_adjacency(20, 0.7, 105))
         other = _reordered(adj)
-        k = len(minimum_vertex_cover(adj)) - 1
+        k = _min_cover_size(adj) - 1
         before, after = Counters(), Counters()
         _frozen_decide_kvc(adj, k, counters=before)
         _frozen_decide_kvc(other, k, counters=after)
@@ -312,27 +341,28 @@ class TestOrderFreedom:
         adj = complement_adjacency_sets(_random_adjacency(24, 0.8, 37))
         other = _reordered(adj)
         assert _snapshot(other) != _snapshot(adj)
+        full = (1 << len(adj)) - 1
         for k in range(len(adj)):
-            a, b = kernelize(adj, k), kernelize(other, k)
-            assert (a.feasible, a.forced, a.k, a.adj) == \
-                (b.feasible, b.forced, b.k, b.adj)
+            a = kernelize_masks(masks_of(adj), full, k, verts_of(adj))
+            b = kernelize_masks(masks_of(other), full, k, verts_of(other))
+            assert a == b
 
 
 class TestCallerAdjacencyUntouched:
-    """The caller's sets keep their content and their iteration order."""
+    """The caller's masks and vertex list are read, never written."""
 
     @given(instances, st.integers(0, 40))
     @settings(max_examples=100, deadline=None)
     def test_kernelize_and_decide_kvc(self, adj, k):
-        before = _snapshot(adj)
-        kernelize(adj, k)
-        assert _snapshot(adj) == before
-        decide_kvc(adj, k)
-        assert _snapshot(adj) == before
+        masks, verts = masks_of(adj), verts_of(adj)
+        kernelize_masks(masks, (1 << len(adj)) - 1, k, verts)
+        assert (masks, verts) == (masks_of(adj), verts_of(adj))
+        decide_kvc_masks(masks, verts, k)
+        assert (masks, verts) == (masks_of(adj), verts_of(adj))
 
     @given(instances, st.integers(0, 5))
     @settings(max_examples=100, deadline=None)
     def test_max_clique_via_vc(self, adj, lower_bound):
-        before = _snapshot(adj)
-        max_clique_via_vc(adj, lower_bound=lower_bound)
-        assert _snapshot(adj) == before
+        masks = masks_of(adj)
+        max_clique_via_vc_masks(masks, lower_bound=lower_bound)
+        assert masks == masks_of(adj)

@@ -4,25 +4,39 @@ clique-via-VC reduction."""
 import itertools
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import from_edges, complete_graph, complement
-from repro.graph.subgraph import induced_adjacency_sets
 from repro.instrument import Counters
 from repro.vc import (
-    kernelize, vc_paths_and_cycles,
-    decide_kvc, minimum_vertex_cover, max_clique_via_vc, clique_exists_via_vc,
-    max_clique_via_vc_masks,
+    decide_kvc_masks, kernelize_masks, max_clique_via_vc_masks,
+    vc_paths_and_cycles,
 )
 from repro.vc import clique_via_vc
-from repro.vc.kernelization import adjacency_masks
+from repro.vc.kernelization import residual_adjacency
 from tests.conftest import brute_force_max_clique, random_graph
 
 
 def adj_of(graph):
-    return induced_adjacency_sets(graph, np.arange(graph.n))
+    return [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
+
+
+def masks_of(adj):
+    return [sum(1 << u for u in s) for s in adj]
+
+
+def verts_of(adj):
+    return [v for v, s in enumerate(adj) if s]
+
+
+def kernelize(adj, k):
+    full = (1 << len(adj)) - 1
+    return kernelize_masks(masks_of(adj), full, k, verts_of(adj))
+
+
+def decide(adj, k, counters=None):
+    return decide_kvc_masks(masks_of(adj), verts_of(adj), k, counters)
 
 
 def is_cover(adj, cover):
@@ -40,59 +54,60 @@ def brute_min_vc(adj) -> int:
 
 
 class TestKernelization:
+    """``kernelize_masks`` returns ``(alive, k, forced, verts, deg)``, or
+    None for a proven no-instance."""
+
     def test_isolated_vertices_ignored(self):
-        kr = kernelize([set(), set(), set()], 0)
-        assert kr.feasible
-        assert kr.forced == []
+        kernel = kernelize([set(), set(), set()], 0)
+        assert kernel is not None
+        assert kernel[2] == []
 
     def test_pendant_rule(self):
         # Path 0-1: pendant rule covers with the neighbor.
         adj = adj_of(from_edges(2, [(0, 1)]))
-        kr = kernelize(adj, 1)
-        assert kr.feasible
-        assert len(kr.forced) == 1
-        assert is_cover(adj, kr.forced)
+        forced = kernelize(adj, 1)[2]
+        assert len(forced) == 1
+        assert is_cover(adj, forced)
 
     def test_buss_rule(self):
         # Star center has degree 5 > k=1, must be forced.
         adj = adj_of(from_edges(6, [(0, i) for i in range(1, 6)]))
-        kr = kernelize(adj, 1)
-        assert kr.feasible
-        assert 0 in kr.forced
-        assert is_cover(adj, kr.forced)
+        forced = kernelize(adj, 1)[2]
+        assert 0 in forced
+        assert is_cover(adj, forced)
 
     def test_triangle_rule(self):
         adj = adj_of(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-        kr = kernelize(adj, 2)
-        assert kr.feasible
-        assert len(set(kr.forced)) == 2
-        assert is_cover(adj, kr.forced)
+        forced = kernelize(adj, 2)[2]
+        assert len(set(forced)) == 2
+        assert is_cover(adj, forced)
 
     def test_infeasible_negative_budget(self):
         adj = adj_of(complete_graph(5))
-        assert not kernelize(adj, 0).feasible
+        assert kernelize(adj, 0) is None
 
     def test_buss_size_bound_detects_infeasible(self):
         # Large matching: min VC = 20 but k = 3; kernel keeps degree-1 rule
         # firing, so feasibility fails via budget.
         edges = [(2 * i, 2 * i + 1) for i in range(20)]
         adj = adj_of(from_edges(40, edges))
-        assert not kernelize(adj, 3).feasible
+        assert kernelize(adj, 3) is None
 
     def test_buss_size_bound_edge_count_is_tight(self):
         # Cycles leave every rule idle at k = 2: C4 has k^2 edges and
         # stays, C5 has k^2 + 1 and is refuted by the size bound alone.
         c4 = adj_of(from_edges(4, [(i, (i + 1) % 4) for i in range(4)]))
         c5 = adj_of(from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
-        kr = kernelize(c4, 2)
-        assert kr.feasible and kr.adj == c4 and kr.forced == []
-        assert not kernelize(c5, 2).feasible
+        alive, k, forced, verts, _ = kernelize(c4, 2)
+        assert residual_adjacency(masks_of(c4), alive, verts) == c4
+        assert k == 2 and forced == []
+        assert kernelize(c5, 2) is None
 
     def test_input_not_mutated(self):
         adj = adj_of(from_edges(3, [(0, 1), (1, 2)]))
-        before = [set(s) for s in adj]
-        kernelize(adj, 2)
-        assert adj == before
+        masks, verts = masks_of(adj), verts_of(adj)
+        kernelize_masks(masks, 0b111, 2, verts)
+        assert (masks, verts) == (masks_of(adj), verts_of(adj))
 
 
 class TestPathsCycles:
@@ -153,7 +168,7 @@ class TestDecideKVC:
         adj = adj_of(g)
         opt = brute_min_vc(adj)
         for k in range(g.n + 1):
-            cover = decide_kvc(adj, k)
+            cover = decide(adj, k)
             if k >= opt:
                 assert cover is not None
                 assert len(cover) <= k
@@ -162,28 +177,32 @@ class TestDecideKVC:
                 assert cover is None
 
     def test_negative_k(self):
-        assert decide_kvc([{1}, {0}], -1) is None
+        assert decide([{1}, {0}], -1) is None
 
     def test_counts_kernel_reductions(self):
         c = Counters()
         adj = adj_of(from_edges(4, [(0, 1), (1, 2), (2, 3)]))
-        decide_kvc(adj, 2, counters=c)
+        decide(adj, 2, counters=c)
         assert c.kernel_reductions > 0
 
 
 class TestMinimumVertexCover:
+    """The smallest feasible k is the minimum vertex cover size."""
+
     @given(st.integers(2, 10), st.floats(0.1, 0.9), st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_property_optimal(self, n, p, seed):
         g = random_graph(n, p, seed=seed)
         adj = adj_of(g)
-        cover = minimum_vertex_cover(adj)
+        opt = brute_min_vc(adj)
+        cover = decide(adj, opt)
+        assert cover is not None and len(cover) == opt
         assert is_cover(adj, cover)
-        assert len(cover) == brute_min_vc(adj)
+        assert decide(adj, opt - 1) is None
 
     def test_empty(self):
-        assert minimum_vertex_cover([]) == []
-        assert minimum_vertex_cover([set(), set()]) == []
+        assert decide([], 0) == []
+        assert decide([set(), set()], 0) == []
 
 
 class TestCliqueViaVC:
@@ -192,22 +211,25 @@ class TestCliqueViaVC:
         for seed in range(5):
             g = random_graph(12, 0.5, seed=seed + 11)
             omega = len(brute_force_max_clique(g))
-            mvc = minimum_vertex_cover(adj_of(complement(g)))
-            assert len(mvc) == g.n - omega
+            comp = adj_of(complement(g))
+            assert decide(comp, g.n - omega) is not None
+            assert decide(comp, g.n - omega - 1) is None
 
     def test_exists_probe(self):
-        adj = adj_of(complete_graph(5))
-        clique = clique_exists_via_vc(adj, 5)
+        """A probe for a clique of ``size`` is a search above
+        ``size - 1``; a size-0 probe answers at once."""
+        masks = masks_of(adj_of(complete_graph(5)))
+        clique = max_clique_via_vc_masks(masks, lower_bound=4)
         assert clique is not None and len(clique) >= 5
-        assert clique_exists_via_vc(adj, 6) is None
-        assert clique_exists_via_vc(adj, 0) == []
+        assert max_clique_via_vc_masks(masks, lower_bound=5) is None
+        assert len(max_clique_via_vc_masks(masks, lower_bound=-1)) == 5
 
     @pytest.mark.parametrize("seed", range(8))
     def test_max_clique_matches_oracle(self, seed):
         g = random_graph(13, 0.6, seed=seed * 7 + 2)
         adj = adj_of(g)
         omega = len(brute_force_max_clique(g))
-        clique = max_clique_via_vc(adj)
+        clique = max_clique_via_vc_masks(masks_of(adj))
         assert clique is not None
         assert len(clique) == omega
         vs = sorted(clique)
@@ -218,8 +240,9 @@ class TestCliqueViaVC:
         g = random_graph(12, 0.5, seed=3)
         adj = adj_of(g)
         omega = len(brute_force_max_clique(g))
-        assert max_clique_via_vc(adj, lower_bound=omega) is None
-        found = max_clique_via_vc(adj, lower_bound=omega - 1)
+        masks = masks_of(adj)
+        assert max_clique_via_vc_masks(masks, lower_bound=omega) is None
+        found = max_clique_via_vc_masks(masks, lower_bound=omega - 1)
         assert found is not None and len(found) == omega
 
 
@@ -236,7 +259,7 @@ def set_path_max_clique(adj, lower_bound, counters, probes):
             return None
         comp = [set(range(n)) - adj[v] - {v} for v in range(n)]
         probes.append(comp)
-        cover = decide_kvc(comp, n - size, counters=counters)
+        cover = decide(comp, n - size, counters=counters)
         if cover is None:
             return None
         return [v for v in range(n) if v not in set(cover)]
@@ -279,7 +302,7 @@ class TestMaskReduction:
 
         counters = Counters()
         with mock.patch.object(clique_via_vc, "decide_kvc_masks", recording):
-            got = max_clique_via_vc_masks(adjacency_masks(adj), lower_bound,
+            got = max_clique_via_vc_masks(masks_of(adj), lower_bound,
                                           counters)
         assert got == want
         assert counters.as_dict() == want_counters.as_dict()
@@ -289,31 +312,6 @@ class TestMaskReduction:
         assert len({id(comp) for comp, *_ in probes}) <= 1
         assert len({id(verts) for _, verts, *_ in probes}) <= 1
         for (_, _, comp, verts), sets in zip(probes, want_probes):
-            assert comp == adjacency_masks(sets)
+            assert comp == masks_of(sets)
             assert verts == [v for v in range(len(sets)) if sets[v]]
 
-
-class TestKernelHook:
-    """perfbench's ``kvc.kernelize`` layer wraps the module-level name
-    ``repro.vc.branch_bound.kernelize``; the search must look it up there
-    once per branch node, or the layer silently reads zero."""
-
-    def test_one_call_per_branch_node(self, monkeypatch):
-        from repro import lazymc
-        from repro.datasets import load
-        from repro.vc import branch_bound
-
-        calls = []
-        kernel = branch_bound.kernelize
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(branch_bound, "kernelize", counted)
-        # Every searched neighbourhood of mouse goes to the k-VC arm, so
-        # all of its branch nodes are k-VC nodes.
-        result = lazymc(load("mouse"))
-        assert result.counters.mc_subsolves == 0
-        assert result.counters.kvc_subsolves > 0
-        assert len(calls) == result.counters.branch_nodes > 0
