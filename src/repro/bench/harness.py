@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..datasets import names as dataset_names

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .. import LazyMCConfig, lazymc
 from ..baselines import domega, mcbrb, pmc
-from ..datasets import load, spec
+from ..datasets import load
 from .harness import BenchConfig, median, repeat_timed
 from .reporting import render_table
 

@@ -129,9 +129,15 @@ def _degree_filters(lazy: LazyGraph, cand_list: list[int], cstar: int,
     m_hat = 0
     for rnd in range(rounds):
         final_round = (rnd == rounds - 1)
-        survivors: list[int] = []
+        # N as it stands, in candidate order: the first ``kept`` entries
+        # survived this round, the rest are still to be probed.  Deleting
+        # a refuted candidate at ``kept`` keeps ``live`` equal to the
+        # survivors followed by the unprobed tail, so removals earlier in
+        # the round are visible to later candidates, as in Alg. 8.
+        live = cand_list.copy()
+        kept = 0
         m_hat = 0
-        for i, u in enumerate(cand_list):
+        for u in cand_list:
             row = lazy.neighborhood_array(u, cstar)
             # Degree test d_N(u) > cstar - 2 is symmetric in its two sets;
             # scan the smaller side and probe the other's hash rep (§IV-A:
@@ -140,28 +146,27 @@ def _degree_filters(lazy: LazyGraph, cand_list: list[int], cstar: int,
             if len(row) <= len(cand_set):
                 a_side, b_side = row, cand_set
             else:
-                # N as it stands, in candidate order: removals earlier in
-                # the round are visible to later candidates, as in Alg. 8.
-                a_side = survivors + cand_list[i:]
-                b_side = lazy.membership_set(u, cstar)
+                a_side, b_side = live, lazy.membership_set(u, cstar)
             if final_round:
                 d = intersect_size_gt_val(a_side, b_side, cstar - 2,
                                           counters, config.early_exit)
                 # Both orientations count u itself never (u not in N_G(u));
                 # when scanning N, u is in A but misses B, same answer.
                 if d > cstar - 2:
-                    survivors.append(u)
+                    kept += 1
                     m_hat += d
                 else:
+                    del live[kept]
                     cand_set.discard(u)
             elif intersect_size_gt_bool(a_side, b_side, cstar - 2,
                                         counters, config.early_exit):
-                survivors.append(u)
+                kept += 1
             else:
+                del live[kept]
                 cand_set.discard(u)
-        cand_list = survivors
-        if len(survivors) < cstar:
-            return survivors, m_hat, rnd
+        cand_list = live
+        if len(live) < cstar:
+            return live, m_hat, rnd
     return cand_list, m_hat, rounds
 
 

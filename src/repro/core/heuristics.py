@@ -62,35 +62,48 @@ def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
             return
         nbrs = graph.neighbors(int(v))
         counters.elements_scanned += len(nbrs)
-        cand = nbrs[degrees[nbrs] >= view.size]  # degree pre-filter (line 4)
+        # Degree pre-filter (line 4).
+        cand = nbrs[degrees[nbrs] >= view.size].tolist()
         clique = [int(v)]
-        buf = np.empty(len(cand), dtype=np.int64)
-        while len(cand):
-            cand_set = set(cand.tolist())
+        buf = [0] * len(cand)
+        # Each probed row as a list, and as a set once it is probed from
+        # the other side, for the rest of this seed's extension rounds.
+        rows: dict[int, list[int]] = {}
+        row_sets: dict[int, set[int]] = {}
+
+        def row_set(w: int) -> set[int]:
+            found = row_sets.get(w)
+            if found is None:
+                found = row_sets[w] = set(rows[w])
+            return found
+
+        while cand:
+            cand_set = set(cand)
             counters.hash_inserts += len(cand)
             best_u = -1
             best_d = -1  # running maximum = θ for every probe
-            for w in cand.tolist():
-                row = graph.neighbors(w)
+            for w in cand:
+                row = rows.get(w)
+                if row is None:
+                    row = rows[w] = graph.neighbors(w).tolist()
                 # Induced degree |cand ∩ N(w)| is symmetric: scan the
                 # smaller side so the running-max threshold exits sooner.
                 if len(row) <= len(cand):
                     d = intersect_size_gt_val(row, cand_set, best_d,
                                               counters, config.early_exit)
                 else:
-                    d = intersect_size_gt_val(cand, set(row.tolist()),
-                                              best_d, counters,
-                                              config.early_exit)
+                    d = intersect_size_gt_val(cand, row_set(w), best_d,
+                                              counters, config.early_exit)
                 if d > best_d:
                     best_d = d
                     best_u = w
             if best_u < 0:  # all probes refused: candidates are isolated
-                best_u = int(cand[0])
+                best_u = cand[0]
             clique.append(best_u)
             # cand <- cand ∩ N(best_u); θ = -1 always materializes.
-            size = intersect_gt(cand, set(graph.neighbors(best_u).tolist()),
-                                buf, -1, counters, config.early_exit)
-            cand = buf[:size].copy() if size > 0 else np.empty(0, dtype=np.int64)
+            size = intersect_gt(cand, row_set(best_u), buf, -1, counters,
+                                config.early_exit)
+            cand = buf[:size]
         view.offer(clique)
 
     engine.parfor(list(map(int, top)), run, incumbent)

@@ -24,8 +24,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..checkpoint import Checkpointer, SearchCheckpoint
 from ..errors import BudgetExceeded
 from ..graph.csr import CSRGraph

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InjectedFault
 

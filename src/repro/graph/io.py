@@ -9,7 +9,6 @@ benches persist generated instances for external cross-checking.
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
 
 import numpy as np

@@ -4,7 +4,6 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LazyMCConfig, LazyGraph, filtering
@@ -13,10 +12,12 @@ from repro.core.heuristics import (
     HEURISTIC_TOP_K, coreness_based_heuristic_search,
     degree_based_heuristic_search,
 )
-from repro.graph import coreness, coreness_degree_order, from_edges, complete_graph
+from repro.graph import coreness, coreness_degree_order, complete_graph
 from repro.graph import generators as gen
 from repro.instrument import Counters
-from repro.intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
+from repro.intersect.early_exit import (
+    EarlyExitConfig, intersect_gt, intersect_size_gt_bool, intersect_size_gt_val,
+)
 from repro.intersect.hashset import HopscotchSet
 from repro.parallel import Incumbent, IncumbentView, SimulatedScheduler
 from repro.vc.kernelization import mask_ids
@@ -77,6 +78,115 @@ class TestDegreeHeuristic:
         inc.offer([0])
         degree_based_heuristic_search(g, inc, LazyMCConfig(), sched)
         assert len(sched.report.tasks) == min(HEURISTIC_TOP_K, g.n)
+
+
+def reference_degree_heuristic(graph, incumbent, config, engine):
+    """Alg. 5 as it stood on numpy rows, frozen as a differential oracle.
+
+    Every probe hashes a fresh set of the long side's row, every round;
+    the candidates are a numpy array narrowed through a numpy buffer.
+    The production search must offer the same cliques, in the same
+    order, with the same counters.
+    """
+    n = graph.n
+    if n == 0:
+        return
+    degrees = graph.degrees
+    k = min(HEURISTIC_TOP_K, n)
+    top = np.argpartition(degrees, n - k)[n - k:]
+    top = top[np.argsort(-degrees[top], kind="stable")]
+
+    def run(v, view, counters):
+        if int(v) in view.clique:
+            return
+        nbrs = graph.neighbors(int(v))
+        counters.elements_scanned += len(nbrs)
+        cand = nbrs[degrees[nbrs] >= view.size]
+        clique = [int(v)]
+        buf = np.empty(len(cand), dtype=np.int64)
+        while len(cand):
+            cand_set = set(cand.tolist())
+            counters.hash_inserts += len(cand)
+            best_u = -1
+            best_d = -1
+            for w in cand.tolist():
+                row = graph.neighbors(w)
+                if len(row) <= len(cand):
+                    d = intersect_size_gt_val(row, cand_set, best_d,
+                                              counters, config.early_exit)
+                else:
+                    d = intersect_size_gt_val(cand, set(row.tolist()),
+                                              best_d, counters,
+                                              config.early_exit)
+                if d > best_d:
+                    best_d = d
+                    best_u = w
+            if best_u < 0:
+                best_u = int(cand[0])
+            clique.append(best_u)
+            size = intersect_gt(cand, set(graph.neighbors(best_u).tolist()),
+                                buf, -1, counters, config.early_exit)
+            cand = buf[:size].copy() if size > 0 else np.empty(0, dtype=np.int64)
+        view.offer(clique)
+
+    engine.parfor(list(map(int, top)), run, incumbent)
+
+
+def greedy_clique(graph, start, size):
+    """A clique of at most ``size`` vertices grown from ``start``."""
+    clique = [start]
+    for u in range(graph.n):
+        if len(clique) >= size:
+            break
+        if u not in clique and all(graph.has_edge(u, w) for w in clique):
+            clique.append(u)
+    return clique
+
+
+early_exit_configs = st.builds(EarlyExitConfig, enabled=st.booleans(),
+                               second_exit=st.booleans())
+
+
+class TestDegreeHeuristicMatchesReference:
+    """Differential check of Alg. 5 against the frozen numpy-row loop."""
+
+    @staticmethod
+    def _run(search, graph, seeded, cfg):
+        inc = Incumbent()
+        inc.offer(seeded)
+        sched = SimulatedScheduler(cfg.threads)
+        offered = []
+        plain_offer = IncumbentView.offer
+
+        def recording(view, clique):
+            offered.append(list(clique))
+            return plain_offer(view, clique)
+
+        with mock.patch.object(IncumbentView, "offer", recording):
+            search(graph, inc, cfg, sched)
+        tasks = [(t.task, t.start, t.finish, t.cost)
+                 for t in sched.report.tasks]
+        return offered, inc.clique, sched.counters.as_dict(), tasks
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=st.tuples(st.integers(1, 40), st.floats(0.05, 0.95),
+                            st.integers(0, 10_000)),
+           data=st.data(), early_exit=early_exit_configs,
+           threads=st.sampled_from([1, 3]))
+    def test_offers_and_counters_match_reference(self, params, data,
+                                                 early_exit, threads):
+        n, p, seed = params
+        graph = random_graph(n, p, seed)
+        # A pre-seeded incumbent: its size drives the degree pre-filter,
+        # its members the skipped seeds.
+        start = data.draw(st.integers(0, n - 1))
+        seeded = greedy_clique(graph, start, data.draw(st.integers(1, 6)))
+        cfg = LazyMCConfig(early_exit=early_exit, threads=threads)
+        production = self._run(degree_based_heuristic_search, graph,
+                               seeded, cfg)
+        reference = self._run(reference_degree_heuristic, graph, seeded,
+                              cfg)
+        assert production == reference
 
 
 class TestCorenessHeuristic:
@@ -275,13 +385,15 @@ class TestFilterLoopMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(params=graph_params, cstar=st.integers(1, 8),
            rounds=st.integers(0, 3),
-           threshold=st.sampled_from([2, 8, 16]))
+           threshold=st.sampled_from([2, 8, 16]),
+           early_exit=early_exit_configs)
     def test_neighbor_search_matches_reference(self, params, cstar, rounds,
-                                               threshold):
+                                               threshold, early_exit):
         n, p, seed = params
         graph = random_graph(n, p, seed)
         cfg = LazyMCConfig(filter_rounds=rounds,
-                           hash_degree_threshold=threshold)
+                           hash_degree_threshold=threshold,
+                           early_exit=early_exit)
         production = self._search_all(graph, cfg, cstar,
                                       filtering._degree_filters)
         reference = self._search_all(graph, cfg, cstar,

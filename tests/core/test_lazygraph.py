@@ -1,7 +1,6 @@
 """Tests for the lazy filtered hashed relabelled graph (Alg. 2)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LazyGraph, LazyMCConfig, PrepopulatePolicy

@@ -8,8 +8,6 @@ thread observes identical, correct representations and each is built once.
 
 import threading
 
-import numpy as np
-
 from repro.core import LazyGraph, LazyMCConfig
 from repro.graph import coreness, coreness_degree_order
 from repro.instrument import Counters

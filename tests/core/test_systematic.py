@@ -1,7 +1,5 @@
 """Unit tests for the systematic search (Alg. 7) in isolation."""
 
-import numpy as np
-
 from repro.core import LazyGraph, LazyMCConfig
 from repro.core.filtering import FilterFunnel
 from repro.core.systematic import systematic_search

@@ -1,6 +1,5 @@
 """Tests for graph I/O, may/must analysis and the synthetic generators."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError

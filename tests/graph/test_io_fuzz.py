@@ -5,9 +5,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import GraphFormatError, ReproError
+from repro.errors import ReproError
 from repro.graph.io import read_dimacs, read_edge_list, read_metis
 
 printable_line = st.text(

@@ -1,12 +1,11 @@
 """Tests for structural graph metrics."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import complete_graph, empty_graph, from_edges
 from repro.graph.metrics import (
-    GraphProfile, degree_assortativity, global_clustering, profile,
+    degree_assortativity, global_clustering, profile,
     triangle_count,
 )
 from tests.conftest import random_graph

@@ -1,12 +1,11 @@
 """Tests for vertex orderings and relabelling (§IV-F)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
-    from_edges, complete_graph,
-    coreness, coreness_degree_order, peeling_order, relabel_graph, VertexOrder,
+    complete_graph,
+    coreness, coreness_degree_order, relabel_graph, VertexOrder,
 )
 from repro.graph.ordering import _counting_sort_stable
 from tests.conftest import random_graph
@@ -47,26 +46,6 @@ class TestCountingSort:
         out = _counting_sort_stable(keys, items)
         expected = items[np.argsort(keys, kind="stable")]
         assert np.array_equal(out, expected)
-
-
-class TestDegeneracyOrder:
-    """The Matula-Beck peeling order of :func:`peeling_order`."""
-
-    def test_is_permutation(self):
-        g = random_graph(20, 0.3, seed=9)
-        _, order = peeling_order(g)
-        assert sorted(order.tolist()) == list(range(20))
-
-    def test_right_neighborhoods_bounded(self):
-        for seed in range(4):
-            g = random_graph(22, 0.4, seed=seed)
-            core, peel = peeling_order(g)
-            order = VertexOrder.from_sequence(peel)
-            for v_new in range(g.n):
-                v_old = order.relabelled_to_original(v_new)
-                right = [u for u in g.neighbors(v_old)
-                         if order.original_to_relabelled(int(u)) > v_new]
-                assert len(right) <= core[v_old]
 
 
 class TestCorenessDegreeOrder:

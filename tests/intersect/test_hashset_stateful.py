@@ -7,7 +7,7 @@ the strongest correctness net for open-addressing displacement logic.
 
 from hypothesis import settings
 from hypothesis.stateful import (
-    Bundle, RuleBasedStateMachine, invariant, rule,
+    RuleBasedStateMachine, invariant, rule,
 )
 from hypothesis import strategies as st
 

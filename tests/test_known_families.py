@@ -10,7 +10,6 @@ bipartite graphs make the coreness bound maximally misleading.
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro import LazyMCConfig, lazymc

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro import LazyMCConfig, lazymc
 from repro.core import LazyGraph
 from repro.graph import (
-    complement, coreness, coreness_degree_order, from_edges, relabel_graph,
+    complement, coreness, coreness_degree_order, relabel_graph,
 )
 from repro.graph.kcore import coreness_degree_filtered
 from repro.instrument import Counters
 from repro.vc import decide_kvc_masks
-from tests.conftest import brute_force_max_clique, random_graph
+from tests.conftest import random_graph
 
 
 graphs_strategy = st.builds(

@@ -7,10 +7,9 @@ instances.
 """
 
 import numpy as np
-import pytest
 
 from repro import LazyMCConfig, lazymc
-from repro.graph import coreness, from_edges
+from repro.graph import coreness
 from repro.graph.generators import (
     gnp_random, hierarchical_web, planted_clique, with_periphery,
 )
