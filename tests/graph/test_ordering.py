@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     complete_graph,
-    coreness, coreness_degree_order, relabel_graph, VertexOrder,
+    coreness, coreness_degree_order, peeling_order, relabel_graph,
+    VertexOrder,
 )
 from repro.graph.ordering import _counting_sort_stable
 from tests.conftest import random_graph
@@ -46,6 +47,33 @@ class TestCountingSort:
         out = _counting_sort_stable(keys, items)
         expected = items[np.argsort(keys, kind="stable")]
         assert np.array_equal(out, expected)
+
+
+class TestDegeneracyOrder:
+    """A :class:`VertexOrder` built from the Matula-Beck peeling sequence.
+
+    ``tests/graph/test_kcore.py`` checks the sequence itself; these check
+    the order and relabelled graph the ordering module makes of it.
+    """
+
+    def test_is_permutation(self):
+        g = random_graph(20, 0.3, seed=9)
+        _, peel = peeling_order(g)
+        order = VertexOrder.from_sequence(peel)
+        assert sorted(order.new_to_old.tolist()) == list(range(20))
+        assert np.array_equal(order.new_to_old[order.old_to_new],
+                              np.arange(20))
+
+    def test_right_neighborhoods_bounded(self):
+        for seed in range(4):
+            g = random_graph(22, 0.4, seed=seed)
+            core, peel = peeling_order(g)
+            order = VertexOrder.from_sequence(peel)
+            h = relabel_graph(g, order)
+            for v_new in range(h.n):
+                right = h.neighbors(v_new)
+                right = right[right > v_new]
+                assert len(right) <= core[order.relabelled_to_original(v_new)]
 
 
 class TestCorenessDegreeOrder:
