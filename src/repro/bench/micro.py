@@ -230,12 +230,6 @@ def run_arm_race(inputs=ARM_RACE_INPUTS) -> list[dict]:
 # baseline (``BENCH_5.json``).
 
 
-def _race_context(payload):
-    """Worker-context builder for the engine race (identity: the payload
-    already is the plain picklable dict the tasks need)."""
-    return payload
-
-
 def _race_task(ctx, task, view, counters):
     """Needle-benchmark task body (module level: process-shippable).
 
@@ -291,7 +285,7 @@ def run_engine_race(n_tasks: int = 64, burn: int = 150_000,
     for engine_name in ("seq", "process"):
         eng = create_engine(engine_name, processes=processes)
         if engine_name == "process":
-            eng.set_worker_context(_race_context, ctx)
+            eng.set_worker_context(ctx)
         incumbent = Incumbent()
         t0 = time.perf_counter()
         results = eng.parfor(list(range(n_tasks)), body, incumbent)

@@ -51,14 +51,19 @@ class SearchCheckpoint:
     complete: bool = False
 
 
-def save_checkpoint(checkpoint: SearchCheckpoint, path: str | os.PathLike) -> None:
-    """Atomically persist ``checkpoint`` to ``path`` (temp + rename)."""
+def _write_atomic(path: str | os.PathLike, data: bytes) -> str:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``.
+
+    Creates the parent directory; a failed write removes its temp file and
+    leaves any previous ``path`` intact.  Returns the path written.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            pickle.dump(checkpoint, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -66,6 +71,13 @@ def save_checkpoint(checkpoint: SearchCheckpoint, path: str | os.PathLike) -> No
         except OSError:
             pass
         raise
+    return path
+
+
+def save_checkpoint(checkpoint: SearchCheckpoint, path: str | os.PathLike) -> None:
+    """Atomically persist ``checkpoint`` to ``path`` (temp + rename)."""
+    _write_atomic(path, pickle.dumps(checkpoint,
+                                     protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def load_checkpoint(path: str | os.PathLike) -> SearchCheckpoint | None:

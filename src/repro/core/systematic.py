@@ -37,17 +37,6 @@ from .filtering import FilterFunnel, neighbor_search
 from .lazygraph import LazyGraph
 
 
-def _build_search_context(payload) -> dict:
-    """Worker-context builder (module level: picklable by reference).
-
-    Runs once per pool worker; the payload is the parent's prepared lazy
-    graph and config, so workers inherit the memoized neighborhood
-    representations instead of rebuilding them.
-    """
-    lazy, config = payload
-    return {"lazy": lazy, "config": config}
-
-
 def _systematic_worker(ctx, v: int, view: IncumbentView,
                        counters: Counters):
     """Process-shippable twin of the per-vertex search task.
@@ -139,7 +128,9 @@ def systematic_search(lazy: LazyGraph, incumbent: Incumbent,
                       merge=funnel.merge)
     external = getattr(engine, "external_workers", False)
     if external:
-        engine.set_worker_context(_build_search_context, (lazy, config))
+        # Workers inherit the parent's prepared lazy graph, memoized
+        # neighborhood representations included, instead of rebuilding it.
+        engine.set_worker_context({"lazy": lazy, "config": config})
 
     def check_budget() -> None:
         # External workers run without in-band budget checks (the budget

@@ -14,7 +14,7 @@ from .ordering import coreness_degree_order, VertexOrder, relabel_graph
 from .complement import complement, complement_masks
 from .subgraph import induced_masks
 from .analysis import may_must_report, MayMustReport
-from .fingerprint import fingerprint, refine_colors
+from .fingerprint import fingerprint
 from .metrics import GraphProfile, profile, triangle_count, global_clustering
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "may_must_report",
     "MayMustReport",
     "fingerprint",
-    "refine_colors",
     "GraphProfile",
     "profile",
     "triangle_count",

@@ -1,114 +1,26 @@
-"""Canonical graph fingerprints for result caching.
+"""Label-exact graph fingerprints for result caching.
 
-The query service (``repro.service``) deduplicates work across requests: two
-submissions of the *same* graph under the same solver configuration must map
-to the same cache slot, even when the caller relabelled the vertices or fed
-the graph in through a different file format.  That requires a fingerprint
-that is invariant under vertex relabelling but sensitive to any structural
-change.
-
-The fingerprint is a Weisfeiler-Lehman-style color refinement digest:
-
-1. every vertex starts colored by its degree (so the degree sequence is
-   always part of the fingerprint);
-2. each round recolors a vertex by mixing its own color with two
-   *commutative* aggregates of its neighbors' colors (a wrapping sum and a
-   xor of mixed colors) — commutativity makes the update independent of
-   neighbor order, so no per-row sorting is needed and every round is a few
-   vectorized passes over the edge array;
-3. the final digest hashes ``(n, m, sorted final color multiset, sorted
-   multiset of symmetric per-edge color combinations)`` with BLAKE2b.
-
-Every step is label-invariant, so isomorphic graphs always collide (a
-guarantee the cache relies on).  The converse is heuristic, as it must be —
-a perfect canonical form would solve graph isomorphism — but WL refinement
-distinguishes all non-isomorphic graph pairs outside well-known regular
-pathologies, which is far stronger than the cache needs: a false merge
-requires an adversarially constructed WL-equivalent pair *plus* a 64-bit
-mixing collision.
+The query service (``repro.service``) keys its result cache on
+``(fingerprint, solver config)``.  A cached answer carries vertex labels
+(the clique), so it is only correct for a graph with exactly the same
+labelled edges.  The fingerprint is therefore a content hash of the CSR
+arrays: sha256 over the dtype string, the length and the bytes of
+``indptr`` and ``indices``.  Relabelled copies of one graph hash
+differently, as they must: a clique in one labelling is not a clique in
+the other.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from .csr import CSRGraph
 
-#: Refinement rounds.  Colors stabilize quickly; 3 rounds see each vertex's
-#: distance-3 neighborhood, enough to separate every perturbation the test
-#: suite (and any non-adversarial workload) throws at it.
-DEFAULT_ROUNDS = 3
 
-_U64 = np.uint64
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over a ``uint64`` array.
-
-    A bijective avalanche mix: structurally close colors (degree d vs d+1)
-    land far apart, so the commutative aggregates below do not cancel.
-    """
-    x = x.astype(_U64, copy=True)
-    with np.errstate(over="ignore"):
-        x += _U64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-        x = x ^ (x >> _U64(31))
-    return x
-
-
-def refine_colors(graph: CSRGraph, rounds: int = DEFAULT_ROUNDS) -> np.ndarray:
-    """Label-invariant per-vertex colors after ``rounds`` of WL refinement.
-
-    Returned as ``uint64``; equal colors mean the refinement could not
-    distinguish the vertices.  Exposed separately from :func:`fingerprint`
-    because the colors are also a useful structural summary (orbit
-    estimates, symmetry detection).
-    """
-    n = graph.n
-    colors = graph.degrees.astype(_U64)
-    if n == 0 or rounds <= 0:
-        return colors
-    # Source vertex of every directed edge slot, computed once per call.
-    src = np.repeat(np.arange(n), np.diff(graph.indptr))
-    for _ in range(rounds):
-        mixed = _mix(colors)
-        nb = mixed[graph.indices]
-        sum_agg = np.zeros(n, dtype=_U64)
-        xor_agg = np.zeros(n, dtype=_U64)
-        with np.errstate(over="ignore"):
-            np.add.at(sum_agg, src, nb)
-        np.bitwise_xor.at(xor_agg, src, nb)
-        with np.errstate(over="ignore"):
-            colors = _mix(colors * _U64(0xC2B2AE3D27D4EB4F)
-                          + sum_agg * _U64(0x165667B19E3779F9)
-                          + xor_agg)
-    return colors
-
-
-def fingerprint(graph: CSRGraph, rounds: int = DEFAULT_ROUNDS) -> str:
-    """Hex digest identifying ``graph`` up to isomorphism (heuristically).
-
-    Deterministic across processes and platforms: BLAKE2b over little-endian
-    byte dumps of sorted color multisets — no Python ``hash`` (which is
-    salted per process) anywhere in the pipeline.
-    """
-    colors = refine_colors(graph, rounds)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.uint64(graph.n).tobytes())
-    h.update(np.uint64(graph.m).tobytes())
-    h.update(np.sort(colors).astype("<u8").tobytes())
-    if graph.m:
-        # Symmetric per-edge combination: order-independent within an edge,
-        # sorted across edges.  Ties the color multiset to the actual
-        # adjacency (two graphs can share vertex colors but wire them
-        # differently).
-        mixed = _mix(colors)
-        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-        hu, hv = mixed[src], mixed[graph.indices]
-        with np.errstate(over="ignore"):
-            pair = _mix(hu ^ hv) + hu + hv
-        h.update(np.sort(pair).astype("<u8").tobytes())
+def fingerprint(graph: CSRGraph) -> str:
+    """sha256 over the dtype, length and bytes of ``indptr`` and ``indices``."""
+    h = hashlib.sha256()
+    for arr in (graph.indptr, graph.indices):
+        h.update(f"{arr.dtype.str}:{len(arr)}:".encode())
+        h.update(arr.tobytes())
     return h.hexdigest()

@@ -119,7 +119,7 @@ class ExecutionEngine(SimulatedScheduler):
         self.wall_seconds = 0.0
         self.start_method: str | None = None
 
-    def set_worker_context(self, builder, payload) -> None:
+    def set_worker_context(self, ctx) -> None:
         """No worker processes: nothing to ship."""
 
     def close(self) -> None:
@@ -172,10 +172,11 @@ _WORKER_CTX = None
 _WORKER_SHARED = None
 
 
-def _process_worker_init(builder, payload, shared) -> None:
-    """Pool initializer: rebuild the worker context once per process."""
+def _process_worker_init(ctx, shared) -> None:
+    """Pool initializer: install the unpickled worker context once per
+    process."""
     global _WORKER_CTX, _WORKER_SHARED
-    _WORKER_CTX = builder(payload) if builder is not None else None
+    _WORKER_CTX = ctx
     _WORKER_SHARED = shared
 
 
@@ -230,24 +231,21 @@ class ProcessEngine(ExecutionEngine):
             raise ValueError("processes must be >= 1")
         super().__init__(processes, counters)
         self.processes = processes
-        self._builder = None
-        self._payload = None
+        self._ctx = None
         self._pool = None
         self._shared = None
         self._pool_broken = False
 
-    def set_worker_context(self, builder, payload) -> None:
-        """Install the module-level context ``builder`` and its payload.
+    def set_worker_context(self, ctx) -> None:
+        """Install the picklable ``ctx`` every shipped task receives.
 
-        Workers call ``builder(payload)`` once at pool start; the result
-        is the ``ctx`` every shipped task receives.  Installing a new
-        context tears down any existing pool (its workers hold the old
-        one).
+        Each worker unpickles it once at pool start; ``None`` means no
+        context.  Installing a new context tears down any existing pool
+        (its workers hold the old one).
         """
         if self._pool is not None:
             self.close()
-        self._builder = builder
-        self._payload = payload
+        self._ctx = ctx
         self._pool_broken = False
 
     def close(self) -> None:
@@ -267,7 +265,7 @@ class ProcessEngine(ExecutionEngine):
             shared = ctx.Value("q", 0)
             return shared, ctx.Pool(
                 self.processes, initializer=_process_worker_init,
-                initargs=(self._builder, self._payload, shared))
+                initargs=(self._ctx, shared))
 
         started = start_process_pool(build, self.fallbacks)
         if started is None:
@@ -307,7 +305,7 @@ class ProcessEngine(ExecutionEngine):
         worker_fn = body.worker if isinstance(body, EngineBody) else None
         if worker_fn is None:
             return None  # closure bodies stay local by design (cheap phases)
-        if self._builder is None:
+        if self._ctx is None:
             # A shippable body without a context is a caller bug worth
             # surfacing, but never worth crashing a solve over.
             self._note_fallback("no worker context installed")

@@ -24,11 +24,12 @@ class _Publication:
 class Incumbent:
     """Global incumbent clique with a virtual-time publication log.
 
-    Vertices are stored in *original* graph ids.  ``offer`` publishes
-    immediately (sequential semantics); the scheduler uses ``publish_at``
-    and ``visible_at`` to implement delayed visibility.  ``history`` keeps
-    every improvement with the work/time at which it was published,
-    powering the incumbent-growth analyses.
+    Vertices are stored in *original* graph ids.  ``offer`` publishes at
+    ``time`` (0 by default: sequential semantics); the scheduler passes
+    virtual times and reads them back through ``visible_at`` to implement
+    delayed visibility.  ``history`` keeps every improvement with the
+    work/time at which it was published, powering the incumbent-growth
+    analyses.
     """
 
     def __init__(self, clique: list[int] | None = None):
@@ -57,10 +58,6 @@ class Incumbent:
             return False
 
     # -- virtual-time interface used by the simulated scheduler ---------------
-
-    def publish_at(self, clique: list[int], time: float) -> bool:
-        """Offer with an explicit virtual publication time."""
-        return self.offer(clique, time=time)
 
     def visible_at(self, time: float) -> tuple[int, list[int]]:
         """Best (size, clique) among publications with time <= ``time``."""

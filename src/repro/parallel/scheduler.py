@@ -126,7 +126,7 @@ class SimulatedScheduler:
             cost = max(local.work, 1)  # every task costs at least one unit
             t_finish = t_start + cost
             t_publish = t_finish if self.publish_at_finish else self.now
-            if pending is not None and incumbent.publish_at(pending, t_publish):
+            if pending is not None and incumbent.offer(pending, time=t_publish):
                 self.publications += 1
             self.counters.merge(local)
             results.append(TaskResult(task=task, start=t_start, finish=t_finish,

@@ -9,8 +9,8 @@ the paper's own principle — manage *work*, not just wall time:
   worker pool, per-job :class:`~repro.instrument.WorkBudget` limits,
   cooperative cancellation of queued jobs, and a bounded admission queue;
 * :class:`~repro.service.cache.ResultCache` — LRU result cache keyed by the
-  isomorphism-invariant graph fingerprint crossed with the solver config,
-  so repeated queries are free;
+  graph's label-exact content hash crossed with the solver config, so
+  repeated queries are free;
 * **graceful degradation** — a job that exhausts its budget returns the
   best incumbent with ``exact=False`` instead of an error, mirroring the
   paper's heuristic-then-systematic structure;

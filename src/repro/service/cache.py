@@ -2,8 +2,9 @@
 
 The paper's thesis is work-avoidance: skip work whose outcome cannot
 matter.  At the serving layer the purest form of that is never re-running a
-solve at all — two requests for isomorphic graphs under the same config
-must produce identical results, so the second one's work cannot matter.
+solve at all — two requests for the same labelled graph under the same
+config must produce identical results, so the second one's work cannot
+matter.
 Keys are ``(graph fingerprint, config key)`` pairs built by the service;
 the cache itself is key-agnostic.
 

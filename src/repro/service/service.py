@@ -4,8 +4,9 @@
 to in-process callers and is wrapped by :mod:`repro.service.server` for
 socket clients.  One submission flows through four gates:
 
-1. **resolve** — the target becomes a graph + fingerprint (small LRU of
-   loaded graphs, since registry analogues are regenerated on every load);
+1. **resolve** — the target becomes a graph + its content fingerprint
+   (registry graphs are memoized by :func:`repro.datasets.load`; files are
+   re-read, so an edited file is never answered from its old content);
 2. **cache** — fingerprint x config hit returns instantly, no worker;
 3. **admission** — a bounded queue sheds load instead of growing latency;
 4. **dispatch** — the worker pool runs the solve under its work/wall
@@ -81,7 +82,6 @@ class ServiceConfig:
 
     workers: int = 0
     cache_capacity: int = 128
-    graph_cache_capacity: int = 8
     defaults: Mapping = field(default_factory=dict)
     max_queue_depth: int = 256
     supervise: bool = False
@@ -133,7 +133,6 @@ class CliqueService:
                 cfg.workers, metrics=self.metrics, max_retries=0,
                 crash_retries=0, circuit_threshold=None)
         self.results = ResultCache(self.config.cache_capacity)
-        self.graphs = ResultCache(self.config.graph_cache_capacity)
         self._job_counter = 0
         self._counter_lock = threading.Lock()
 
@@ -230,18 +229,13 @@ class CliqueService:
                             f"{spec.trace_id}.trace.jsonl")
 
     def _resolve(self, spec: JobSpec) -> tuple[CSRGraph, str]:
-        """Target/graph -> (graph, fingerprint), through the graph LRU."""
-        if spec.graph is not None:
-            return spec.graph, fingerprint(spec.graph)
-        entry = self.graphs.get(spec.target)
-        if entry is not None:
-            return entry
-        from ..datasets import load_target
+        """Target/graph -> (graph, fingerprint of its labelled content)."""
+        graph = spec.graph
+        if graph is None:
+            from ..datasets import load_target
 
-        graph = load_target(spec.target)
-        fp = fingerprint(graph)
-        self.graphs.put(spec.target, (graph, fp))
-        return graph, fp
+            graph = load_target(spec.target)
+        return graph, fingerprint(graph)
 
     def _finish(self, inner: Future, outer: Future, spec: JobSpec,
                 key, fp: str, t0: float) -> None:
@@ -324,7 +318,6 @@ class CliqueService:
         self._sync_gauges()
         snap = self.metrics.snapshot()
         snap["result_cache"] = self.results.info()
-        snap["graph_cache"] = self.graphs.info()
         snap["pool"] = {"mode": self.pool.mode, "workers": self.pool.workers,
                         "pending": self.pool.pending}
         return snap

@@ -29,10 +29,9 @@ and deterministic across task boundaries.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 
+from ..checkpoint import _write_atomic
 from ..instrument import Counters
 from .events import SCHEMA_VERSION
 
@@ -295,21 +294,7 @@ class TraceRecorder(Tracer):
         footer-terminated stream on disk even if the process dies right
         after.  Returns the path written.
         """
-        path = os.fspath(path)
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".trace-", dir=directory)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_jsonl(include_wall))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return _write_atomic(path, self.to_jsonl(include_wall).encode())
 
 
 class _TaskClock:

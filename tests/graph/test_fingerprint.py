@@ -1,10 +1,9 @@
-"""Tests for the canonical graph fingerprint (cache-key substrate)."""
+"""Tests for the label-exact graph fingerprint (cache-key substrate)."""
 
 import numpy as np
-import pytest
 
 from repro.graph.builders import complete_graph, empty_graph, from_edges
-from repro.graph.fingerprint import fingerprint, refine_colors
+from repro.graph.fingerprint import fingerprint
 from repro.graph.generators import planted_clique
 
 
@@ -16,23 +15,19 @@ def _relabel(graph, seed):
 
 
 class TestInvariance:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_isomorphic_relabelled_graphs_hash_equal(self, seed):
-        graph, _ = planted_clique(200, 0.03, 8, seed=seed)
-        assert fingerprint(_relabel(graph, seed + 100)) == fingerprint(graph)
-
-    def test_color_multiset_is_relabel_invariant(self):
-        graph, _ = planted_clique(150, 0.05, 6, seed=3)
-        a = np.sort(refine_colors(graph))
-        b = np.sort(refine_colors(_relabel(graph, 7)))
-        assert np.array_equal(a, b)
-
     def test_deterministic_across_calls(self):
         graph, _ = planted_clique(100, 0.05, 5, seed=4)
         assert fingerprint(graph) == fingerprint(graph)
 
 
 class TestSensitivity:
+    def test_relabelled_copy_hashes_differently(self):
+        # A cached clique is a list of labels: it is only valid for a
+        # graph with the same labelled edges, so relabelled copies must
+        # not share a cache slot.
+        graph, _ = planted_clique(200, 0.03, 8, seed=0)
+        assert fingerprint(_relabel(graph, 100)) != fingerprint(graph)
+
     def test_edge_removal_changes_fingerprint(self):
         graph, _ = planted_clique(200, 0.03, 8, seed=5)
         edges = list(graph.edges())
@@ -56,17 +51,14 @@ class TestSensitivity:
         star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert fingerprint(path) != fingerprint(star)
 
-    def test_wl_equivalent_regular_pair_collides(self):
-        # C6 vs two disjoint triangles is the canonical 1-WL-equivalent
-        # pair: same n, m and degree sequence, and color refinement can
-        # never separate 2-regular graphs.  The fingerprint collides by
-        # design (documented limitation); this test pins that behavior so
-        # a future strengthening (e.g. triangle-count seeding) is a
-        # conscious change.
+    def test_wl_equivalent_regular_pair_differs(self):
+        # C6 vs two disjoint triangles: same n, m and degree sequence, so
+        # 1-WL colour refinement cannot separate them, but ω is 2 against
+        # 3 and one cached answer cannot serve both.
         cycle6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         triangles = from_edges(6, [(0, 1), (1, 2), (0, 2),
                                    (3, 4), (4, 5), (3, 5)])
-        assert fingerprint(cycle6) == fingerprint(triangles)
+        assert fingerprint(cycle6) != fingerprint(triangles)
 
 
 class TestEdgeCases:
@@ -79,8 +71,3 @@ class TestEdgeCases:
     def test_complete_graph_stable(self):
         assert fingerprint(complete_graph(5)) == fingerprint(complete_graph(5))
         assert fingerprint(complete_graph(5)) != fingerprint(complete_graph(6))
-
-    def test_zero_rounds_still_covers_degree_sequence(self):
-        path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert fingerprint(path, rounds=0) != fingerprint(star, rounds=0)

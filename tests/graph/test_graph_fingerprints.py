@@ -12,7 +12,6 @@ code replaced; hypothesis checks the two against each other on drawn
 parameters.
 """
 
-import hashlib
 import importlib.util
 import json
 import sys
@@ -27,19 +26,11 @@ from repro.datasets import registry
 from repro.graph import generators as gen
 from repro.graph.builders import _csr_from_directed, add_edges, from_edges
 from repro.graph.csr import CSRGraph, INDPTR_DTYPE, VERTEX_DTYPE
+from repro.graph.fingerprint import fingerprint
 
 ROOT = Path(__file__).resolve().parents[2]
 PINS = json.loads((Path(__file__).with_name("graph_fingerprints.json"))
                   .read_text())
-
-
-def fingerprint(graph: CSRGraph) -> str:
-    """sha256 over the dtype, length and bytes of ``indptr`` and ``indices``."""
-    h = hashlib.sha256()
-    for arr in (graph.indptr, graph.indices):
-        h.update(f"{arr.dtype.str}:{len(arr)}:".encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 def _dimacs_build():

@@ -246,7 +246,7 @@ class TestEngineUnits:
 
     def test_process_parfor_ships_worker(self):
         eng = ProcessEngine(processes=2)
-        eng.set_worker_context(_race_ctx, None)
+        eng.set_worker_context({})
         incumbent = Incumbent()
         body = EngineBody(
             inline=lambda t, v, c: _publishing_worker(None, t, v, c)[0],
@@ -267,6 +267,3 @@ class TestEngineUnits:
                                  "total_work", "tasks", "publications",
                                  "wall_seconds", "start_method", "fallbacks"}
 
-
-def _race_ctx(payload):
-    return payload

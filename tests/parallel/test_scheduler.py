@@ -23,16 +23,16 @@ class TestIncumbent:
 
     def test_visibility_by_time(self):
         inc = Incumbent()
-        inc.publish_at([1, 2], time=10.0)
-        inc.publish_at([1, 2, 3], time=20.0)
+        inc.offer([1, 2], time=10.0)
+        inc.offer([1, 2, 3], time=20.0)
         assert inc.visible_at(5.0) == (0, [])
         assert inc.visible_at(10.0)[0] == 2
         assert inc.visible_at(25.0)[0] == 3
 
     def test_history(self):
         inc = Incumbent()
-        inc.publish_at([1], 1.0)
-        inc.publish_at([1, 2], 2.0)
+        inc.offer([1], time=1.0)
+        inc.offer([1, 2], time=2.0)
         assert inc.history == [(1.0, 1), (2.0, 2)]
 
 

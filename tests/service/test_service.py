@@ -119,19 +119,41 @@ class TestCaching:
             assert svc.metrics.counter("cache_hits") == 1
             assert svc.results.hits == 1
 
-    def test_isomorphic_graphs_share_a_slot(self):
-        import numpy as np
-
+    def test_relabelled_copy_gets_a_clique_in_its_own_labels(self):
         from repro.graph.builders import from_edges
 
-        graph = load("CAroad")
-        perm = np.random.default_rng(0).permutation(graph.n)
-        relabelled = from_edges(graph.n, [(int(perm[u]), int(perm[v]))
-                                          for u, v in graph.edges()])
+        # Triangle {0, 1, 2} plus pendant 2-3, then the same graph with
+        # the triangle on {1, 2, 3}: [0, 1, 2] is not a clique there.
+        graph = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        relabelled = from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 0)])
         with make_service() as svc:
-            svc.solve(JobSpec(graph=graph))
+            assert svc.solve(JobSpec(graph=graph)).clique == [0, 1, 2]
             second = svc.solve(JobSpec(graph=relabelled))
-            assert second.cached
+            assert second.omega == 3
+            assert relabelled.is_clique(second.clique)
+
+    def test_wl_equivalent_graphs_get_their_own_omega(self):
+        from repro.graph.builders import from_edges
+
+        cycle6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                   (3, 4), (4, 5), (3, 5)])
+        with make_service() as svc:
+            first = svc.solve(JobSpec(graph=cycle6))
+            second = svc.solve(JobSpec(graph=triangles))
+            assert (first.omega, first.exact) == (2, True)
+            assert (second.omega, second.exact) == (3, True)
+
+    def test_rewritten_file_is_reread(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n")
+        with make_service() as svc:
+            first = svc.solve(JobSpec(target=str(path)))
+            assert (first.n, first.m, first.omega) == (3, 2, 2)
+            path.write_text("0 1\n1 2\n0 2\n2 3\n")
+            second = svc.solve(JobSpec(target=str(path)))
+            assert (second.n, second.m, second.omega) == (4, 4, 3)
+            assert second.exact and not second.cached
 
     def test_different_config_misses(self):
         with make_service() as svc:
