@@ -1,9 +1,12 @@
 """Benchmark harness regenerating every table and figure of the paper.
 
-One module per artifact; each exposes ``run(...) -> list[dict]`` returning
-structured rows and a ``main()`` that renders the paper-style text table.
-The CLI (``python -m repro bench <id>``) and the pytest-benchmark wrappers
-under ``benchmarks/`` both drive these.
+One module per artifact; each exposes ``run(config)`` returning structured
+rows and ``render(rows) -> str``, the artifact's one report section
+(heading, markdown table, shape lines computed from the rows).  The CLI
+(``python -m repro bench <id>``) prints ``render(run(config))``;
+``scripts/generate_experiments.py`` exports the rows to ``experiments/``
+and renders EXPERIMENTS.md from those files alone.  The pytest-benchmark
+wrappers under ``benchmarks/`` drive ``run``.
 
 Artifacts (DESIGN.md §4):
 

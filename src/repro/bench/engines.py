@@ -51,9 +51,3 @@ def render(results: dict) -> str:
                         title="Engines — sequential vs multiprocessing "
                               "(needle race + full solve)")
 
-
-def main(config: BenchConfig | None = None) -> str:
-    """Run and print; returns the rendered text."""
-    out = render(run(config))
-    print(out)
-    return out

@@ -9,6 +9,8 @@ without re-running the sweeps.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -37,8 +39,8 @@ def export_artifact(name: str, output_dir: str | Path,
                     config: BenchConfig | None = None) -> Path:
     """Run one artifact and write ``<output_dir>/<name>.json``.
 
-    The file carries the rows plus the configuration used, so results are
-    self-describing.
+    The file carries the rows plus the configuration and the machine
+    used, so results (wall columns included) are self-describing.
     """
     from . import ARTIFACTS
 
@@ -58,6 +60,8 @@ def export_artifact(name: str, output_dir: str | Path,
             "threads": config.threads,
             "engine": config.engine,
         },
+        "machine": {"cpus": os.cpu_count(),
+                    "python": platform.python_version()},
         "generation_seconds": time.perf_counter() - t0,
         "rows": _coerce(rows),
     }

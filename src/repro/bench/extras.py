@@ -119,9 +119,3 @@ def render(results: dict) -> str:
         title="Extra ablation — hash/sorted representation threshold"))
     return "\n\n".join(parts)
 
-
-def main(config: BenchConfig | None = None) -> str:
-    """Run and print; returns the rendered text."""
-    out = render(run(config))
-    print(out)
-    return out

@@ -18,7 +18,7 @@ from .. import LazyMCConfig, lazymc
 from ..datasets import load
 from ..intersect import EarlyExitConfig
 from .harness import BenchConfig, geometric_mean, repeat_timed
-from .reporting import render_table
+from .reporting import listing, render_table
 
 HEADERS = ["graph", "slow_noexit(t)", "slow_no2nd(t)", "slow_noexit(w)",
            "slow_no2nd(w)", "exits_false", "exits_true"]
@@ -72,20 +72,24 @@ def summary(rows: list[dict]) -> dict:
 
 
 def render(rows: list[dict]) -> str:
-    """Render rows as the paper-style text table."""
+    """The Fig. 5 report section: slowdown table plus shape lines."""
     table = [[r["graph"], r["slowdown_noexit_time"], r["slowdown_nosecond_time"],
               r["slowdown_noexit_work"], r["slowdown_nosecond_work"],
               r["early_exits_false"], r["early_exits_true"]] for r in rows]
     s = summary(rows)
     table.append(["geomean", "", "", s["geomean_noexit_work"],
                   s["geomean_nosecond_work"], "", ""])
-    return render_table(HEADERS, table,
-                        title="Fig. 5 — early-exit ablation slowdowns",
-                        precision=3)
-
-
-def main(config: BenchConfig | None = None) -> str:
-    """Run and print; returns the rendered text."""
-    out = render(run(config))
-    print(out)
-    return out
+    costlier = [r for r in rows if r["slowdown_noexit_work"] > 1]
+    worst = max(rows, key=lambda r: r["slowdown_noexit_work"])
+    cheaper = [r["graph"] for r in rows if r["slowdown_nosecond_work"] < 1]
+    return "\n\n".join([
+        render_table(HEADERS, table, precision=3,
+                     title="Figure 5 — early-exit intersection ablation"),
+        f"Without early exits, work rises on {len(costlier)}/{len(rows)} "
+        f"graphs, geomean {s['geomean_noexit_work']:.3f}, worst "
+        f"{worst['slowdown_noexit_work']:.2f}x on {worst['graph']} (paper: "
+        f"always slower, up to 3.99x on dimacs).",
+        f"Disabling only the second exit costs "
+        f"{s['geomean_nosecond_work']:.3f}x geomean; it saves work on "
+        f"{listing(cheaper)} (paper: warwiki and it run faster without it).",
+    ])

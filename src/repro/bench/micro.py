@@ -365,9 +365,3 @@ def render(results: dict) -> str:
               "(k-VC vs bits vs sets)"))
     return "\n\n".join(parts)
 
-
-def main(config: BenchConfig | None = None) -> str:
-    """Run and print; returns the rendered text."""
-    out = render(run(config))
-    print(out)
-    return out

@@ -1,8 +1,9 @@
-"""Plain-text table rendering for bench output.
+"""Markdown table rendering for bench output.
 
-Deliberately dependency-free: benches print paper-style monospace tables to
-stdout and EXPERIMENTS.md.  Cells may be str, int, float or None (rendered
-as the paper's "T.O."/"x" placeholders).
+Deliberately dependency-free: every bench artifact renders through
+:func:`render_table`, so ``lazymc bench`` prints the same aligned
+GitHub-markdown text that EXPERIMENTS.md embeds.  Cells may be str, int,
+float, bool or None (rendered as the paper's "T.O." placeholder).
 """
 
 from __future__ import annotations
@@ -26,39 +27,39 @@ def _fmt(cell, precision: int = 3) -> str:
     return str(cell)
 
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence],
-                 title: str | None = None, precision: int = 3) -> str:
-    """Render an aligned monospace table."""
-    cells = [[_fmt(c, precision) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.rjust(widths[i]) if _is_numeric(c) else c.ljust(widths[i])
-                               for i, c in enumerate(row)))
-    return "\n".join(lines)
-
-
 def _is_numeric(s: str) -> bool:
     try:
         float(s.replace(",", ""))
         return True
     except ValueError:
-        return s in ("T.O.", "x")
+        return s == "T.O."
 
 
-def rows_to_markdown(headers: Sequence[str], rows: Sequence[Sequence],
-                     precision: int = 3) -> str:
-    """Same data as a GitHub-flavored markdown table (for EXPERIMENTS.md)."""
-    out = ["| " + " | ".join(headers) + " |",
-           "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        out.append("| " + " | ".join(_fmt(c, precision) for c in row) + " |")
-    return "\n".join(out)
+def render_table(headers: Sequence[str], rows: Sequence[Sequence],
+                 title: str | None = None, precision: int = 3) -> str:
+    """Render an aligned GitHub-markdown table, under ``## title`` if given.
+
+    A column whose non-empty cells are all numbers (or "T.O.") is
+    right-aligned, in the text and in the markdown separator row.
+    """
+    cells = [[_fmt(c, precision) for c in row] for row in rows]
+    columns = list(zip(headers, *cells))
+    widths = [max(len(c) for c in column) for column in columns]
+    numeric = [any(column[1:]) and all(_is_numeric(c) for c in column[1:] if c)
+               for column in columns]
+
+    def line(row: Sequence[str]) -> str:
+        return "| " + " | ".join(
+            c.rjust(w) if num else c.ljust(w)
+            for c, w, num in zip(row, widths, numeric)) + " |"
+
+    rule = "|" + "|".join("-" * (w + 1) + ":" if num else "-" * (w + 2)
+                          for w, num in zip(widths, numeric)) + "|"
+    lines = [f"## {title}", ""] if title else []
+    lines += [line(headers), rule] + [line(row) for row in cells]
+    return "\n".join(lines)
+
+
+def listing(names: Sequence[str]) -> str:
+    """``names`` comma-separated for a report sentence, or "none"."""
+    return ", ".join(names) if names else "none"

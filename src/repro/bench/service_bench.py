@@ -86,9 +86,3 @@ def render(rows: list[dict]) -> str:
           "yes" if r["degraded_exact"] else "no"] for r in rows],
         title="Service — cold vs cached vs budget-degraded queries")
 
-
-def main(config: BenchConfig | None = None) -> str:
-    """Run and print; returns the rendered text."""
-    out = render(run(config))
-    print(out)
-    return out

@@ -12,11 +12,11 @@ from __future__ import annotations
 from .. import LazyMCConfig, lazymc
 from ..datasets import load, spec
 from .harness import BenchConfig
-from .reporting import render_table
+from .reporting import listing, render_table
 
-HEADERS = ["graph", "V", "E", "maxdeg", "d", "omega", "gap",
-           "heur_d", "heur_h", "paper_gap==0", "gap==0",
-           "paper_heur_hits", "heur_hits"]
+HEADERS = ["graph", "V", "E", "maxdeg", "d", "omega", "gap", "heur_d",
+           "heur_h", "paper gap", "gap=0 match", "heur hits ω (paper)",
+           "heur hits ω"]
 
 
 def run(config: BenchConfig | None = None) -> list[dict]:
@@ -50,17 +50,28 @@ def run(config: BenchConfig | None = None) -> list[dict]:
 
 
 def render(rows: list[dict]) -> str:
-    """Render rows as the paper-style text table."""
-    table_rows = [[r["graph"], r["V"], r["E"], r["maxdeg"], r["d"], r["omega"],
-                   r["gap"], r["heur_d"], r["heur_h"], r["paper_gap_zero"],
-                   r["gap_zero"], r["paper_heur_hits"], r["heur_hits"]]
-                  for r in rows]
-    return render_table(HEADERS, table_rows,
-                        title="Table I — graph characterization (analogues)")
-
-
-def main(config: BenchConfig | None = None) -> str:
-    """Run and print; returns the rendered text."""
-    out = render(run(config))
-    print(out)
-    return out
+    """The Table I report section: table plus shape score."""
+    body = []
+    for r in rows:
+        body.append([r["graph"], r["V"], r["E"], r["maxdeg"], r["d"],
+                     r["omega"], r["gap"], r["heur_d"], r["heur_h"],
+                     spec(r["graph"]).paper.gap,
+                     r["paper_gap_zero"] == r["gap_zero"],
+                     r["paper_heur_hits"], r["heur_hits"]])
+    gap_miss = [r["graph"] for r in rows
+                if r["paper_gap_zero"] != r["gap_zero"]]
+    heur_miss = [r["graph"] for r in rows
+                 if r["paper_heur_hits"] != r["heur_hits"]]
+    n = len(rows)
+    return "\n\n".join([
+        render_table(HEADERS, body,
+                     title="Table I — graph characterization"),
+        "Paper columns describe the real graph, the others its synthetic "
+        "analogue. The comparison targets are the classification columns: "
+        "clique-core gap zero or positive, and whether a heuristic search "
+        "finds ω (bold in the paper's table).",
+        f"**Shape score**: gap-zero classification matches the paper on "
+        f"{n - len(gap_miss)}/{n} graphs (mismatched: {listing(gap_miss)}); "
+        f"heuristic-finds-ω classification matches on "
+        f"{n - len(heur_miss)}/{n} (mismatched: {listing(heur_miss)}).",
+    ])

@@ -308,7 +308,7 @@ def _cmd_bench(args) -> int:
             path = export_artifact(target, args.output, config)
             print(f"wrote {path}")
         else:
-            ARTIFACTS[target].main(config)
+            print(ARTIFACTS[target].render(ARTIFACTS[target].run(config)))
             print()
     return 0
 

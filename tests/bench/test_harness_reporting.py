@@ -1,11 +1,16 @@
-"""Tests for the bench harness and text/markdown reporting."""
+"""Tests for the bench harness, the markdown renderer and the committed
+report."""
 
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import BenchConfig, geometric_mean, median, repeat_timed
-from repro.bench.reporting import render_table, rows_to_markdown
+from repro.bench.reporting import render_table
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestBenchConfig:
@@ -68,27 +73,29 @@ class TestStats:
 class TestRendering:
     def test_render_table_alignment(self):
         out = render_table(["name", "value"], [["a", 1.5], ["bb", None]])
-        lines = out.split("\n")
-        assert "name" in lines[0]
-        assert "T.O." in out
-        assert "1.500" in out
+        assert out.split("\n") == [
+            "| name | value |",
+            "|------|------:|",
+            "| a    | 1.500 |",
+            "| bb   |  T.O. |",
+        ]
 
     def test_render_table_title(self):
         out = render_table(["x"], [[1]], title="My Table")
-        assert out.startswith("My Table\n========")
+        assert out.split("\n") == ["## My Table", "", "| x |", "|--:|",
+                                    "| 1 |"]
 
     def test_large_and_tiny_floats(self):
-        out = render_table(["v"], [[12345.6], [0.00001]])
-        assert "12,346" in out
-        assert "1.0e-05" in out
+        out = render_table(["v", "flag"], [[12345.6, True], [0.00001, False]])
+        assert out.split("\n")[2:] == ["|  12,346 | yes  |",
+                                        "| 1.0e-05 | no   |"]
 
     def test_markdown(self):
-        out = rows_to_markdown(["a", "b"], [[1, True], [None, False]])
-        lines = out.split("\n")
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert "| 1 | yes |" in out
-        assert "| T.O. | no |" in out
+        # Empty cells (a summary row) do not stop a numeric column
+        # right-aligning, and a text cell makes the column left-aligned.
+        out = render_table(["a", "b"], [[1, "x"], ["", 2.0]], precision=1)
+        assert out.split("\n") == ["| a | b   |", "|--:|-----|",
+                                    "| 1 | x   |", "|   | 2.0 |"]
 
 
 class TestArtifactRegistry:
@@ -101,4 +108,23 @@ class TestArtifactRegistry:
                                   "engines", "service"}
         for mod in ARTIFACTS.values():
             assert hasattr(mod, "run")
-            assert hasattr(mod, "main")
+            assert hasattr(mod, "render")
+
+
+_spec = importlib.util.spec_from_file_location(
+    "generate_experiments", ROOT / "scripts" / "generate_experiments.py")
+generate_experiments = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate_experiments)
+
+
+class TestCommittedReport:
+    def test_report_is_the_render_of_the_exports(self):
+        # EXPERIMENTS.md is a pure function of experiments/*.json: a
+        # re-export that is not re-rendered (or a hand edit) fails here.
+        assert (generate_experiments.render_report(ROOT / "experiments")
+                == (ROOT / "EXPERIMENTS.md").read_text())
+
+    def test_every_paper_artifact_is_exported(self):
+        paper = {f"table{i}" for i in (1, 2, 3)} | {f"fig{i}" for i in range(1, 8)}
+        assert set(generate_experiments.CONFIGS) == paper
+        assert {p.stem for p in (ROOT / "experiments").glob("*.json")} == paper

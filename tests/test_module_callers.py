@@ -21,7 +21,7 @@ passes when one of these reaches it:
   that defines the name (or to a package re-exporting it);
 * an attribute read on a table lookup, ``table[key].name``, where a dict
   literal in production code holds the defining module as a value (the
-  bench CLI's ``ARTIFACTS[target].main``);
+  bench CLI's ``ARTIFACTS[target].render``);
 * a reference from code in the defining module, outside the name's own
   definition.
 
