@@ -113,40 +113,27 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
                                     config: LazyMCConfig,
                                     engine) -> None:
     """Alg. 6: one greedy descent per coreness level, highest level first."""
-    if lazy.n == 0:
-        return
-    degeneracy = lazy.degeneracy()
-    if degeneracy < 0:
-        return
-    # Lowest-numbered vertex of each level; core is non-decreasing in the
-    # relabelled order, so the first occurrence per value suffices.
-    first_at_level: dict[int, int] = {}
-    for v, c in enumerate(lazy.core.tolist()):
-        if c >= 0 and c not in first_at_level:
-            first_at_level[c] = v
-    levels = [k for k in range(degeneracy, 0, -1) if k in first_at_level]
-    main_counters = lazy.counters
+    # Lowest-numbered vertex of each level.
+    first_at_level = {k: ids[0] for k, ids in lazy.levels().items()}
+    levels = sorted(first_at_level, reverse=True)
 
     def run(level: int, view: IncumbentView, counters: Counters) -> None:
-        # The lazy-graph builds this seed causes are its work.
-        lazy.counters = counters
-        try:
-            v = first_at_level[level]
-            cand = lazy.right_neighborhood(v, view.size)
-            clique = [v]
-            buf = [0] * len(cand)
-            while cand:
-                u = cand[-1]  # highest-numbered = highest coreness
-                theta = view.size - (len(clique) + 1)
-                rep = lazy.membership_set(u, view.size)
-                size = intersect_gt(cand, rep, buf, theta, counters,
-                                    config.early_exit)
-                clique.append(u)
-                if size < 0:
-                    break  # cannot beat the incumbent through this seed
-                cand = buf[:size]
-        finally:
-            lazy.counters = main_counters
+        # The lazy-graph builds this seed causes charge ``lazy.counters``:
+        # the run's counters, which the engine hands the task too.
+        v = first_at_level[level]
+        cand = lazy.right_neighborhood(v, view.size)
+        clique = [v]
+        buf = [0] * len(cand)
+        while cand:
+            u = cand[-1]  # highest-numbered = highest coreness
+            theta = view.size - (len(clique) + 1)
+            rep = lazy.membership_set(u, view.size)
+            size = intersect_gt(cand, rep, buf, theta, counters,
+                                config.early_exit)
+            clique.append(u)
+            if size < 0:
+                break  # cannot beat the incumbent through this seed
+            cand = buf[:size]
         view.offer(lazy.to_original(clique))
 
     engine.parfor(levels, run, incumbent)

@@ -240,6 +240,18 @@ class LazyGraph:
         """Largest coreness among represented vertices."""
         return int(self.core.max()) if len(self.core) else 0
 
+    def levels(self) -> dict[int, range]:
+        """The relabelled ids of each non-empty coreness level >= 1.
+
+        Ids ascend by coreness, so every level is a contiguous id range
+        (the ids of coreness -1, excluded by the k-core computation, come
+        first); two binary searches per level find it.
+        """
+        top = self.degeneracy()
+        bounds = np.searchsorted(self.core, np.arange(top + 2)).tolist()
+        return {k: range(bounds[k], bounds[k + 1])
+                for k in range(1, top + 1) if bounds[k] < bounds[k + 1]}
+
     def built_counts(self) -> tuple[int, int]:
         """(hash, sorted) representation counts currently materialized."""
         return (sum(rep is not None for rep in self._hash_reps),

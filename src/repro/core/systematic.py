@@ -79,9 +79,13 @@ def systematic_search(lazy: LazyGraph, incumbent: Incumbent,
     an identically prepared run partitions roots identically.  Both
     default to ``None``, leaving the original path byte-for-byte intact.
 
-    ``tracer`` records one span per seeding pass and per swept level;
-    inside each task its virtual clock is scoped to the task-local
-    counters (see :meth:`~repro.trace.tracer.TraceRecorder.task_clock`)
+    Inline tasks charge the engine's counters, which must be
+    ``lazy.counters`` (the run's counters): lazy-graph builds land there
+    too, so a task's cost covers them and in-band budget checks see the
+    running task's work.
+
+    ``tracer`` records one span per seeding pass and per swept level; its
+    virtual clock reads the run's counters, which tasks charge directly,
     so event timestamps stay monotone across the simulated parallelism.
     Tracing rides the inline body only — the process engine's workers run
     untraced.
@@ -92,37 +96,17 @@ def systematic_search(lazy: LazyGraph, incumbent: Incumbent,
     if degeneracy <= 0:
         return
 
-    # Group vertices by coreness level; relabelled order sorts by coreness,
-    # so levels are contiguous id ranges.  The tasks read the same list.
-    core = lazy.core.tolist()
-    levels: dict[int, list[int]] = {}
-    first_at_level: dict[int, int] = {}
-    for v, c in enumerate(core):
-        if c < 0:
-            continue
-        levels.setdefault(c, []).append(v)
-        first_at_level.setdefault(c, v)
-
-    main_counters = lazy.counters
+    levels = lazy.levels()
+    first_at_level = {k: ids[0] for k, ids in levels.items()}
+    core = lazy._core
 
     def task(v: int, view: IncumbentView, counters: Counters) -> None:
         # Re-check eligibility against the task's visible incumbent: the
         # incumbent may have grown since the level was scheduled.
         if core[v] < view.size:
             return
-        # Lazy-graph builds the task causes are the task's work, as in
-        # the process worker: they count in its cost and its funnel.
-        lazy.counters = counters
-        try:
-            if not tracer.enabled:
-                neighbor_search(lazy, v, view, config, counters, funnel,
-                                budget)
-                return
-            with tracer.task_clock(counters):
-                neighbor_search(lazy, v, view, config, counters, funnel,
-                                budget, tracer=tracer)
-        finally:
-            lazy.counters = main_counters
+        neighbor_search(lazy, v, view, config, counters, funnel, budget,
+                        tracer=tracer)
 
     body = EngineBody(inline=task, worker=_systematic_worker,
                       merge=funnel.merge)

@@ -9,6 +9,8 @@ benches persist generated instances for external cross-checking.
 from __future__ import annotations
 
 import gzip
+import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,36 +32,57 @@ def read_edge_list(path: str | Path, *, comment: str = "#",
     """Read a whitespace-separated edge list (SNAP style).
 
     ``zero_indexed=None`` auto-detects: if the minimum vertex id seen is 1
-    and 0 never appears, ids are shifted down by one.
+    and 0 never appears, ids are shifted down by one.  Blank lines and
+    lines starting with ``comment`` or ``%`` are skipped; columns after
+    the first two are ignored.  The file is parsed about 1 MiB of whole
+    lines at a time: one regex scan and one ``int`` map per block, and
+    only a block that fails them is walked line by line, to name its
+    first bad line.
     """
-    edges = []
-    max_id = -1
-    min_id = None
+    # The first two fields of every line that is neither blank nor a
+    # comment; the second is empty on a line with one field, and fails
+    # the int map like any other non-integer field.
+    first_two = re.compile(rf"^[^\S\n]*(?!{re.escape(comment)}|%)"
+                           r"(\S+)(?:[^\S\n]+(\S+))?", re.M)
+    ids: list[int] = []
+    lineno = 1
     with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith(comment) or line.startswith("%"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphFormatError(f"line {lineno}: expected two vertex ids")
+        while block := fh.read(1 << 20):
+            block += fh.readline()  # finish the last line
+            pairs = first_two.findall(block)
             try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: non-integer id") from exc
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
-            min_id = min(u, v) if min_id is None else min(min_id, u, v)
-    if not edges:
+                ids += map(int, itertools.chain.from_iterable(pairs))
+            except ValueError:
+                _raise_first_bad_line(block, lineno, comment)
+            lineno += block.count("\n")
+    if not ids:
         return from_edges(0, [])
+    min_id, max_id = min(ids), max(ids)
     if zero_indexed is None:
         zero_indexed = (min_id == 0)
     shift = 0 if zero_indexed else 1
     if min_id - shift < 0:
         raise GraphFormatError("negative vertex id after index adjustment")
     n = check_vertex_count(max_id + 1 - shift)
-    arr = np.asarray(edges, dtype=np.int64) - shift
+    arr = np.array(ids, dtype=np.int64).reshape(-1, 2) - shift
     return from_edges(n, arr)
+
+
+def _raise_first_bad_line(block: str, lineno: int, comment: str) -> None:
+    """Raise the :class:`GraphFormatError` naming the first malformed line
+    of ``block``, whose first line is line ``lineno`` of the file."""
+    for lineno, line in enumerate(block.split("\n"), lineno):
+        line = line.strip()
+        if not line or line.startswith((comment, "%")):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise GraphFormatError(f"line {lineno}: expected two vertex ids")
+        try:
+            int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: non-integer id") from exc
+    raise GraphFormatError(f"line {lineno}: unreadable edge list")
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:

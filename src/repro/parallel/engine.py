@@ -2,8 +2,8 @@
 
 The solvers (LazyMC's Alg. 1 phases, the PMC baseline) express their
 parallelism as *parfors over an incumbent*: every task runs against an
-:class:`~repro.parallel.incumbent.IncumbentView` and accumulates work into
-a task-local :class:`~repro.instrument.Counters`.  Every backend runs that
+:class:`~repro.parallel.incumbent.IncumbentView` and charges its work to
+the run's :class:`~repro.instrument.Counters`.  Every backend runs that
 shape through the one loop of
 :class:`~repro.parallel.scheduler.SimulatedScheduler` — the same worker
 assignment, cost accounting and schedule report.  They differ only in
@@ -23,12 +23,14 @@ assignment, cost accounting and schedule report.  They differ only in
     through a lock-guarded ``multiprocessing.Value`` so late tasks see
     improvements (the work-deflation half of the paper's Fig. 7 story)
     while tasks already in flight run against a stale bound (the
-    work-inflation half, now on real processes).  Per-task counters come
-    back with the results and go through the shared loop in the parent,
-    so the work account stays exact; improvements are published at the
-    parfor's start time.  Any failure to stand up a pool — unavailable
-    start method, daemonic caller, unpicklable context — degrades to
-    inline execution with the reason recorded in ``fallbacks``.
+    work-inflation half, now on real processes).  Each worker task counts
+    into its own counters, which come back with the result; the shared
+    loop in the parent merges them into the run's counters, which makes
+    them that task's cost and keeps the work account exact.
+    Improvements are published at the parfor's start time.  Any failure
+    to stand up a pool — unavailable start method, daemonic caller,
+    unpicklable context — degrades to inline execution with the reason
+    recorded in ``fallbacks``.
 
 Bodies come in two shapes.  A plain callable ``(task, view, counters) ->
 value`` runs in the calling process on every engine (closures cannot
@@ -291,13 +293,16 @@ class ProcessEngine(ExecutionEngine):
         merge = body.merge
         replies = iter(raw)
 
-        def replay(task, view):
+        def replay(task, view, counters):
             value, counter_dict, pending, extra = next(replies)
             if merge is not None and extra is not None:
                 merge(extra)
-            return value, Counters(**counter_dict), pending
+            counters.merge(Counters(**counter_dict))
+            if pending is not None:
+                view.offer(pending)
+            return value
 
-        return self._schedule(tasks, replay, incumbent)
+        return super().parfor(tasks, replay, incumbent)
 
     def _map(self, tasks: list, body, incumbent: Incumbent) -> list | None:
         """Per-task ``(value, counters, pending, extra)`` from the pool, or

@@ -61,6 +61,14 @@ class Incumbent:
 
     def visible_at(self, time: float) -> tuple[int, list[int]]:
         """Best (size, clique) among publications with time <= ``time``."""
+        # Each publication is larger than every earlier one, so the newest
+        # is the best whenever it is visible: always at T = 1.  The list
+        # only grows and its entries never change, so no lock is needed.
+        publications = self._publications
+        if publications:
+            newest = publications[-1]
+            if newest.time <= time:
+                return newest.size, list(newest.clique)
         best_size = 0
         best: list[int] = []
         with self._lock:

@@ -6,7 +6,7 @@ Model
 next task starts on the worker with the smallest virtual time ``t``.  The
 task executes *now* (real Python, sequentially — the simulation is about
 visibility, not concurrency) against an :class:`IncumbentView` frozen at
-``t``; its cost ``c`` is the work-counter delta it accumulated; the worker
+``t``; its cost ``c`` is the work it added to the run's counters; the worker
 advances to ``t + c``; any incumbent improvement is published at ``t + c``
 and becomes visible only to tasks starting later.
 
@@ -35,7 +35,7 @@ from ..instrument import Counters
 from .incumbent import Incumbent, IncumbentView
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskResult:
     """Outcome of one simulated task."""
 
@@ -96,46 +96,46 @@ class SimulatedScheduler:
     ) -> list[TaskResult]:
         """Run ``run_task(task, view, counters)`` for every task.
 
-        ``run_task`` must do all incumbent reads through the view and all
-        incumbent writes through ``view.offer``; the scheduler publishes
-        pending improvements as :attr:`publish_at_finish` says.  Returns
-        per-task results in task order.
+        ``counters`` is the run's own :attr:`counters`: a task charges its
+        work there directly, and its cost is the ``work`` it added (at
+        least one unit).  ``run_task`` must do all incumbent reads through
+        the view and all incumbent writes through ``view.offer``; the
+        scheduler publishes pending improvements as
+        :attr:`publish_at_finish` says.  Each task starts on the worker
+        with the smallest virtual time and sees the incumbent as published
+        by then.  Returns per-task results in task order.
         """
-        def execute(task, view):
-            local = Counters()
-            return run_task(task, view, local), local, view.pending
-
-        return self._schedule(tasks, execute, incumbent)
-
-    def _schedule(self, tasks: Sequence, execute, incumbent: Incumbent) -> list[TaskResult]:
-        """The parfor loop: assign, run, cost, publish, account.
-
-        ``execute(task, view)`` returns ``(value, counters, pending)`` for
-        one task; the task's cost is its counters' work.  Each task starts
-        on the worker with the smallest virtual time and sees the
-        incumbent as published by then.
-        """
-        workers = [(self.now, w) for w in range(self.threads)]
-        heapq.heapify(workers)
+        counters = self.counters
+        start = self.now
+        publish_at_finish = self.publish_at_finish
+        visible_at = incumbent.visible_at
+        heapreplace = heapq.heapreplace
+        # (time, worker) pairs, sorted and so already a heap.
+        workers = [(start, w) for w in range(self.threads)]
         results: list[TaskResult] = []
-        end = self.now
+        append = results.append
+        total = 0
+        end = start
         for task in tasks:
-            t_start, w = heapq.heappop(workers)
-            size, clique = incumbent.visible_at(t_start)
-            value, local, pending = execute(task, IncumbentView(size, clique))
-            cost = max(local.work, 1)  # every task costs at least one unit
+            t_start, w = workers[0]
+            view = IncumbentView(*visible_at(t_start))
+            before = counters.work
+            value = run_task(task, view, counters)
+            cost = counters.work - before
+            if cost < 1:
+                cost = 1
             t_finish = t_start + cost
-            t_publish = t_finish if self.publish_at_finish else self.now
-            if pending is not None and incumbent.offer(pending, time=t_publish):
+            pending = view.pending
+            if pending is not None and incumbent.offer(
+                    pending, t_finish if publish_at_finish else start):
                 self.publications += 1
-            self.counters.merge(local)
-            results.append(TaskResult(task=task, start=t_start, finish=t_finish,
-                                      cost=cost, worker=w, value=value))
-            heapq.heappush(workers, (t_finish, w))
-            end = max(end, t_finish)
-        makespan = end - self.now
-        self.report.makespan += makespan
-        self.report.total_work += sum(r.cost for r in results)
+            append(TaskResult(task, t_start, t_finish, cost, w, value))
+            heapreplace(workers, (t_finish, w))
+            total += cost
+            if t_finish > end:
+                end = t_finish
+        self.report.makespan += end - start
+        self.report.total_work += total
         self.report.tasks.extend(results)
         self.now = end
         return results

@@ -18,12 +18,10 @@ totals.  Two implementations share one interface:
   captured alongside every event but is stripped by the serializer unless
   explicitly requested — it is the single machine-dependent field.
 
-The simulated scheduler runs parfor tasks against *task-local* counters
-that merge into the run's main counters only when the task finishes.
-:meth:`TraceRecorder.task_clock` bridges that: inside a task the virtual
-clock reads ``main.work + local.work``, which is exactly the value
-``main.work`` will have after the merge — so the stream stays monotone
-and deterministic across task boundaries.
+The simulated scheduler's parfor tasks charge the run's main counters
+directly (a task's cost is the work it adds), so inside a task the clock
+already reads the run's work so far, and the stream stays monotone and
+deterministic across task boundaries.
 """
 
 from __future__ import annotations
@@ -65,10 +63,6 @@ class Tracer:
 
     def bind(self, counters: Counters) -> None:
         """Attach the run's main counters as the virtual clock source."""
-
-    def task_clock(self, local: Counters) -> _NullSpan:
-        """Scope the clock to ``main + local`` for one scheduler task."""
-        return _NULL_SPAN
 
     def span(self, name: str, sampled: bool = False, **attrs) -> _NullSpan:
         """Open a span; use as a context manager (or call ``.end()``)."""
@@ -149,7 +143,6 @@ class TraceRecorder(Tracer):
         self.dropped = 0
         self.complete = False
         self._main = counters
-        self._local: Counters | None = None
         self._next_sid = 1
         self._sample_count = 0
         self._stack: list[int | None] = []
@@ -159,19 +152,11 @@ class TraceRecorder(Tracer):
     @property
     def vt(self) -> int:
         """Current virtual time in work units (monotone, deterministic)."""
-        w = self._main.work if self._main is not None else 0
-        local = self._local
-        if local is not None and local is not self._main:
-            w += local.work
-        return w
+        return self._main.work if self._main is not None else 0
 
     def bind(self, counters: Counters) -> None:
         """Attach the run's main counters as the virtual clock source."""
         self._main = counters
-
-    def task_clock(self, local: Counters) -> "_TaskClock":
-        """Scope the clock to ``main + local`` for one scheduler task."""
-        return _TaskClock(self, local)
 
     def set_meta(self, **kv) -> None:
         """Attach header metadata (target name, algo, config highlights)."""
@@ -296,19 +281,3 @@ class TraceRecorder(Tracer):
         """
         return _write_atomic(path, self.to_jsonl(include_wall).encode())
 
-
-class _TaskClock:
-    """Context manager scoping the virtual clock to one scheduler task."""
-
-    __slots__ = ("_tracer", "_local")
-
-    def __init__(self, tracer: TraceRecorder, local: Counters):
-        self._tracer = tracer
-        self._local = local
-
-    def __enter__(self) -> "_TaskClock":
-        self._tracer._local = self._local
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._local = None

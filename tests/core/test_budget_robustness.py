@@ -6,6 +6,8 @@ import pytest
 
 from repro import LazyMCConfig, lazymc
 from repro.baselines import domega, mcbrb, pmc
+from repro.graph import generators
+from repro.trace import TraceRecorder
 from tests.conftest import brute_force_max_clique, random_graph
 
 
@@ -31,6 +33,35 @@ class TestBudgetSweepLazyMC:
             r = lazymc(g, LazyMCConfig(max_work=max_work))
             sizes.append(r.omega)
         assert sizes == sorted(sizes)
+
+
+class TestBudgetOvershoot:
+    def test_budget_trips_inside_the_running_task(self):
+        """A budget that runs out inside a systematic task trips there.
+
+        Tasks charge the run's counters, so the in-band checks at each
+        neighbourhood and each branch node see the running task's work:
+        the overshoot is at most one neighbourhood's filtering plus one
+        branch node, not the rest of the task.  G(120, 0.7) is where the
+        costliest task is mostly sub-solver branching.
+        """
+        g = generators.gnp_random(120, 0.7, seed=2036044446)
+        rec = TraceRecorder()
+        lazymc(g, tracer=rec)
+        begins, costliest = {}, (0, 0)
+        for event in rec.events:
+            if event.get("name") != "neighborhood":
+                continue
+            if event["ev"] == "span_begin":
+                begins[event["sid"]] = event["vt"]
+            else:
+                start = begins[event["sid"]]
+                costliest = max(costliest, (event["vt"] - start, start))
+        cost, start = costliest
+        max_work = start + 100
+        r = lazymc(g, LazyMCConfig(max_work=max_work))
+        assert r.timed_out
+        assert 0 < r.counters.work - max_work < cost / 2
 
 
 class TestBudgetSweepBaselines:

@@ -84,3 +84,111 @@ def test_out_of_range_id_is_a_load_error_for_the_cli(tmp_path):
     path.write_text("0 100000000000\n")
     with pytest.raises(SystemExit, match="failed to load"):
         main(["solve", str(path)])
+
+
+def _frozen_read_edge_list(path, *, comment="#", zero_indexed=None):
+    """The line-at-a-time edge-list parser that the block parser replaced."""
+    import gzip
+
+    import numpy as np
+
+    from repro.errors import GraphFormatError
+    from repro.graph.builders import check_vertex_count, from_edges
+
+    edges = []
+    max_id = -1
+    min_id = None
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with opener(path, "rt") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith(comment) or line.startswith("%"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise GraphFormatError(f"line {lineno}: expected two vertex ids")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: non-integer id") from exc
+            edges.append((u, v))
+            max_id = max(max_id, u, v)
+            min_id = min(u, v) if min_id is None else min(min_id, u, v)
+    if not edges:
+        return from_edges(0, [])
+    if zero_indexed is None:
+        zero_indexed = (min_id == 0)
+    shift = 0 if zero_indexed else 1
+    if min_id - shift < 0:
+        raise GraphFormatError("negative vertex id after index adjustment")
+    n = check_vertex_count(max_id + 1 - shift)
+    arr = np.asarray(edges, dtype=np.int64) - shift
+    return from_edges(n, arr)
+
+
+def _outcome(parser, path, **kwargs):
+    from repro.graph.fingerprint import fingerprint
+
+    try:
+        return "graph", fingerprint(parser(path, **kwargs))
+    except ReproError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_ID = st.one_of(st.integers(-2, 40).map(str),
+                st.sampled_from(["x", "1.5", "+3", "-0", "07", "1_0", ""]))
+_EDGE_LINE = st.builds(
+    lambda u, v, extra, pad: f"{pad}{u} {v}{extra}",
+    st.integers(0, 40), st.integers(0, 40),
+    st.sampled_from(["", " 1.0", "\t7 w"]), st.sampled_from(["", " ", "\t"]))
+_LINE = st.one_of(
+    _EDGE_LINE, _EDGE_LINE, _EDGE_LINE,
+    st.builds(lambda a, b: f"{a} {b}", _ID, _ID),
+    st.builds(lambda a: f"{a}", _ID),
+    st.sampled_from(["", "   ", "# comment", "% note", "  # indented", "#"]),
+    printable_line)
+
+
+@given(st.lists(_LINE, max_size=30), st.booleans(),
+       st.sampled_from([None, True, False]), st.sampled_from(["#", "c"]),
+       st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=200, deadline=None)
+def test_edge_list_matches_frozen_parser(lines, shift_up, zero_indexed,
+                                         comment, newline):
+    """Same CSR sha256, or the same error class and line message, as the
+    line-at-a-time parser, on clean, commented, malformed and 1-indexed
+    input."""
+    if shift_up:  # a 1-indexed file: every clean edge line moves up by one
+        lines = [" ".join(str(int(t) + 1) if t.isdigit() else t
+                          for t in line.split(" ")) for line in lines]
+    kwargs = {"comment": comment, "zero_indexed": zero_indexed}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(newline.join(lines).encode())
+        assert _outcome(read_edge_list, path, **kwargs) == \
+            _outcome(_frozen_read_edge_list, path, **kwargs)
+
+
+def test_edge_list_matches_frozen_parser_across_blocks(tmp_path):
+    """A file longer than one read block: line numbers keep counting
+    across blocks, in error messages too."""
+    import gzip
+
+    # About 50 bytes a line: three blocks of 1 MiB.
+    lines = [f"{i % 997} {(i * 7 + 1) % 997} {'w' * 40}"
+             for i in range(60_000)]
+    for bad_at, bad in ((None, None), (45_000, "3 x"), (59_999, "5")):
+        body = list(lines)
+        if bad_at is not None:
+            body[bad_at] = bad
+        text = "# header\n" + "\n".join(body) + "\n"
+        for path in (tmp_path / "g.txt", tmp_path / "g.txt.gz"):
+            if path.suffix == ".gz":
+                with gzip.open(path, "wt") as fh:
+                    fh.write(text)
+            else:
+                path.write_text(text)
+            new = _outcome(read_edge_list, path)
+            assert new == _outcome(_frozen_read_edge_list, path)
+            if bad_at is not None:
+                assert new[1].startswith(f"line {bad_at + 2}:")

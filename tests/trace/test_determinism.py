@@ -11,6 +11,8 @@ Two properties from the issue, pinned hard:
   machine-dependent field by default).
 """
 
+import hashlib
+
 import pytest
 
 from repro import LazyMCConfig, lazymc
@@ -124,6 +126,36 @@ class TestTracedStreamsAreByteIdentical:
         stripped = [{k: v for k, v in e.items() if k != "wall"}
                     for e in with_wall]
         assert stripped == rec.all_events()
+
+
+class TestStreamsArePinned:
+    """The virtual-clock streams, byte for byte, as sha256 of
+    ``to_jsonl()``: the tracer reads the run's counters, so a change to
+    how parfor tasks account their work must leave every ``vt`` alone, at
+    one simulated worker and at several."""
+
+    DIGESTS = {
+        ("WormNet", 1): "8fb6963f68ed9eba20caf4c23652b9bc"
+                        "10a38f0237521520011febb3397f6b73",
+        ("WormNet", 4): "9ea8c20ab346cf113d2b7dac81bc656e"
+                        "8a322465bf4b146776351adae9b90273",
+        ("HS-CX", 1): "e579154e25f8bd6f66bf3bf822268df9"
+                      "d839977b55a5710f74017fc919f8ba4c",
+        ("HS-CX", 4): "621aee07bf5dde673bfd5196c7dc7a95"
+                      "fc3b3ec09aa062ab8e9765a9a56f9839",
+        ("mouse", 1): "2a8cf4b16c93a13e52ce7933927198d0"
+                      "12e93bb369187e381c4ccf4088d03b83",
+        ("mouse", 4): "28f0d77cc0d7124864d9a292c38c6104"
+                      "3af8b85adb5e4d229c1d1b333709c515",
+    }
+
+    @pytest.mark.parametrize("name,threads", sorted(DIGESTS))
+    def test_stream_digest(self, name, threads):
+        rec = TraceRecorder()
+        lazymc(load(name), LazyMCConfig(threads=threads), tracer=rec)
+        stream = rec.to_jsonl(include_wall=False).encode()
+        assert hashlib.sha256(stream).hexdigest() == \
+            self.DIGESTS[(name, threads)]
 
 
 class TestTracedConfigVariants:

@@ -33,10 +33,6 @@ class TestNullTracer:
         span.end()
         span.end(extra=1)
 
-    def test_task_clock_is_context_manager(self):
-        with NULL_TRACER.task_clock(Counters()):
-            pass
-
     def test_singleton_is_base_class_instance(self):
         # Call sites type-hint Tracer; the singleton must satisfy that.
         assert isinstance(NULL_TRACER, Tracer)
@@ -52,17 +48,6 @@ class TestVirtualClock:
         assert rec.vt == 10
         c.words_scanned += 5
         assert rec.vt == 15
-
-    def test_task_clock_adds_local_work(self):
-        main, local = Counters(), Counters()
-        rec = TraceRecorder(main)
-        main.elements_scanned = 100
-        with rec.task_clock(local):
-            local.elements_scanned = 7
-            assert rec.vt == 107
-        assert rec.vt == 100  # local unscoped again
-        main.merge(local)
-        assert rec.vt == 107  # merge lands exactly where the task read it
 
     def test_unbound_recorder_reads_zero(self):
         rec = TraceRecorder()
