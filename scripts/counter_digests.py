@@ -39,7 +39,6 @@ CONFIGS: dict[str, dict] = {
     "filter_rounds=3": {"filter_rounds": 3},
     "early_exit=off": {"early_exit": EarlyExitConfig(enabled=False)},
     "second_exit=off": {"early_exit": EarlyExitConfig(second_exit=False)},
-    "kernel=bits": {"kernel_backend": "bits"},
     "threads=4": {"threads": 4},
     "engine=seq": {"engine": "seq"},
     "prepopulate=all": {"prepopulate": PrepopulatePolicy.ALL},

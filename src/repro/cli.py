@@ -27,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .core.config import KERNEL_BACKENDS, LazyMCConfig
+from .core.config import LazyMCConfig
 from .datasets import load, load_target, names
 from .errors import GraphLoadError
 from .graph.csr import CSRGraph
@@ -48,11 +48,6 @@ KNOB_FLAGS = {
         "help": "deterministic work budget (scanned-element units)"}),
     "--timeout": ("max_seconds", {
         "type": float, "help": "wall-clock budget (seconds)"}),
-    "--kernel": ("kernel_backend", {
-        "choices": KERNEL_BACKENDS,
-        "help": "MC sub-solver backend: list[set] branch and bound "
-                "(default) or the bit-parallel BBMC kernel, which then "
-                "solves every searched neighborhood (lazymc only)"}),
     "--engine": ("engine", {
         "choices": ENGINE_NAMES,
         "help": "execution engine: deterministic simulated scheduler "

@@ -24,10 +24,6 @@ from ..intersect.early_exit import EarlyExitConfig
 from ..parallel.engine import ENGINE_NAMES
 
 
-#: The MC kernel backends ``kernel_backend`` accepts.
-KERNEL_BACKENDS = ("sets", "bits")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -67,13 +63,6 @@ class LazyMCConfig:
     seed_per_level: bool = True
     # §IV-A: hash representation for degree > threshold, sorted otherwise.
     hash_degree_threshold: int = 16
-    # MC kernel backend (related work §VI, bit-level parallelism):
-    # "sets" is the paper's list[set] solver, "bits" the BBMC-style
-    # bit-parallel kernel.  "bits" reads the neighbourhood's masks as
-    # extracted; "sets" reads sets built from them.  When "bits" is
-    # selected it takes precedence over the k-VC arm, so it solves every
-    # searched neighborhood.
-    kernel_backend: str = "sets"  # "sets" | "bits"
     # Simulated parallelism (§V-F).
     threads: int = 1
     # Execution engine (repro.parallel.engine): "sim" is the deterministic
@@ -106,9 +95,15 @@ class LazyMCConfig:
         if self.max_seconds is not None and not (
                 _is_real(self.max_seconds) and self.max_seconds >= 0):
             raise ValueError("max_seconds must be None or a number >= 0")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(f"kernel_backend must be one of "
-                             f"{', '.join(KERNEL_BACKENDS)}")
+
+    @property
+    def kernel_backend(self) -> str:
+        """The direct MC arm's kernel: always ``"sets"``, and no field.
+
+        Read-only; ``perfbench/run.py`` records it in each run's
+        environment.  The bit kernel is a ``bench micro`` subject only.
+        """
+        return "sets"
 
     def replace(self, **changes) -> "LazyMCConfig":
         """Functional update (dataclasses.replace with a friendlier name)."""

@@ -17,9 +17,9 @@ cheaply* before any branching happens:
    MC branch and bound.
 
 The surviving subgraph is extracted once, as one Python-int bitmask per
-survivor (:func:`~repro.graph.subgraph.induced_masks`), and every arm
-reads those masks: k-VC builds its complement from them, the bit kernel
-relabels them, and the sets MC arm turns them into sets.
+survivor (:func:`~repro.graph.subgraph.induced_masks`), and both arms
+read those masks: k-VC builds its complement from them, and the MC arm
+turns them into sets.
 
 The per-stage survival counts form the Table III funnel.
 """
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from ..graph.subgraph import induced_masks
 from ..instrument import Counters, WorkBudget
 from ..intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
-from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
 from ..parallel.incumbent import IncumbentView
 from ..trace.tracer import NULL_TRACER, Tracer
@@ -242,22 +241,18 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
     else:
         density = sum(m.bit_count() for m in masks) / (k * (k - 1))
 
-    # Line 14's dispatch, extended with the bit kernel.  The bit kernel
-    # takes precedence over k-VC: "bits" means BBMC solves every searched
-    # neighborhood.
+    # Line 14's dispatch: k-VC when the density reaches φ, else direct MC.
     funnel.searched += 1
-    use_bits = config.kernel_backend == "bits"
-    use_kvc = (not use_bits) and config.use_kvc \
-        and density >= config.density_threshold
+    use_kvc = config.use_kvc and density >= config.density_threshold
     if use_kvc:
         funnel.searched_kvc += 1
     else:
         funnel.searched_mc += 1
         counters.mc_subsolves += 1
 
-    arm = "kvc" if use_kvc else ("bits" if use_bits else "mc")
+    arm = "kvc" if use_kvc else "mc"
     if tracer.enabled:
-        tracer.point("dispatch", v=v, backend="sets" if arm == "mc" else arm,
+        tracer.point("dispatch", v=v, backend="kvc" if use_kvc else "sets",
                      k=k, density=round(density, 6))
 
     # The arm's span covers the sub-solve's work alone, as
@@ -270,9 +265,6 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
         if use_kvc:
             found = max_clique_via_vc(masks, lower_bound=bound,
                                       counters=counters, budget=budget)
-        elif use_bits:
-            found = BitMCSubgraphSolver(counters=counters,
-                                        budget=budget).solve(masks, bound)
         else:
             # Ascending insertion: each set iterates as the rows did.
             adj = [set(mask_ids(m)) for m in masks]

@@ -10,9 +10,9 @@ Phases, in order, each timed for the Fig. 2 breakdown:
    neighborhood representations, hash or sorted per the §IV-A degree rule
    (policy-dependent, Fig. 4).
 5. ``heuristic_coreness`` — Alg. 6 on the lazy graph.
-6. ``systematic`` — Alg. 7 + Alg. 8.  The per-neighborhood sub-solver is
-   chosen by ``LazyMCConfig.kernel_backend`` ("sets" | "bits"); the
-   default "sets" path is the paper's solver, unchanged.
+6. ``systematic`` — Alg. 7 + Alg. 8.  Each searched neighborhood goes to
+   the k-VC arm when its induced density reaches φ, else to the direct
+   MC arm.
 
 The result is exact: the returned clique is a maximum clique of the input.
 """

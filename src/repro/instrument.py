@@ -41,9 +41,10 @@ class Counters:
     * ``mc_subsolves`` / ``kvc_subsolves`` — algorithmic choice (Fig. 6).
     * ``branch_nodes`` — branch-and-bound tree nodes across sub-solvers.
     * ``words_scanned`` — 64-bit words touched by the bit-parallel kernel's
-      vector ops (the BBMC backend's work unit; zero on the sets backend).
-      One word stands for up to 64 element probes, so cross-backend work
-      totals are not directly comparable — see docs/performance.md.
+      vector ops (its work unit).  Only ``bench micro``'s arm race runs
+      that kernel, so every LazyMC solve reads zero.  One word stands for
+      up to 64 element probes, so the race's bit and sets work totals are
+      not directly comparable — see docs/performance.md.
     """
 
     elements_scanned: int = 0
@@ -81,9 +82,9 @@ class Counters:
     def work(self) -> int:
         """Total work units (the Fig. 7 metric).
 
-        ``words_scanned`` joins the sum so budgets and phase attribution
-        keep working under the bit-parallel backend; it is zero on the
-        default sets path, leaving the historical definition intact.
+        ``words_scanned`` joins the sum so budgets and the arm race's
+        work totals cover the bit-parallel kernel; it is zero on every
+        LazyMC solve, leaving the historical definition intact.
         """
         return (self.elements_scanned + self.branch_nodes +
                 self.hash_inserts + self.words_scanned)

@@ -7,8 +7,9 @@ pruning rule".  That combination is the classic MCQ/MCS family; this package
 implements it over small set-adjacency subgraphs: ``solve(adj,
 lower_bound)`` takes ``list[set]`` local-id adjacency.
 :mod:`~repro.mc.bitkernel` is the same search in BBMC bit-parallel form
-(related work §VI), selected via ``LazyMCConfig.kernel_backend``; its
-``solve(masks, lower_bound)`` reads the candidate subgraph's bitmasks.
+(related work §VI), kept off LazyMC's solve path as a subject of
+``bench micro``'s sub-solver arm race; its ``solve(masks, lower_bound)``
+reads the candidate subgraph's bitmasks.
 """
 
 from .coloring import color_sort

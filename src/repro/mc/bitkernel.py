@@ -31,6 +31,9 @@ adjacency as one Python-int row mask per vertex — the masks
 clique strictly larger than the bound or ``None`` (a proof), and honors
 ``WorkBudget`` ticks at every branch node.  At subgraph scale (tens of
 64-bit words) CPython's big-int bitwise ops run a whole row in one C call.
+
+LazyMC's solve path does not run this kernel: ``bench micro`` races it
+against the k-VC and sets MC arms on recorded sub-solver traffic.
 """
 
 from __future__ import annotations

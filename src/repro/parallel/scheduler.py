@@ -116,28 +116,32 @@ class SimulatedScheduler:
         append = results.append
         total = 0
         end = start
-        for task in tasks:
-            t_start, w = workers[0]
-            view = IncumbentView(*visible_at(t_start))
-            before = counters.work
-            value = run_task(task, view, counters)
-            cost = counters.work - before
-            if cost < 1:
-                cost = 1
-            t_finish = t_start + cost
-            pending = view.pending
-            if pending is not None and incumbent.offer(
-                    pending, t_finish if publish_at_finish else start):
-                self.publications += 1
-            append(TaskResult(task, t_start, t_finish, cost, w, value))
-            heapreplace(workers, (t_finish, w))
-            total += cost
-            if t_finish > end:
-                end = t_finish
-        self.report.makespan += end - start
-        self.report.total_work += total
-        self.report.tasks.extend(results)
-        self.now = end
+        try:
+            for task in tasks:
+                t_start, w = workers[0]
+                view = IncumbentView(*visible_at(t_start))
+                before = counters.work
+                value = run_task(task, view, counters)
+                cost = counters.work - before
+                if cost < 1:
+                    cost = 1
+                t_finish = t_start + cost
+                pending = view.pending
+                if pending is not None and incumbent.offer(
+                        pending, t_finish if publish_at_finish else start):
+                    self.publications += 1
+                append(TaskResult(task, t_start, t_finish, cost, w, value))
+                heapreplace(workers, (t_finish, w))
+                total += cost
+                if t_finish > end:
+                    end = t_finish
+        finally:
+            # A task that raises (a tripped budget) still leaves the
+            # tasks finished before it in the report.
+            self.report.makespan += end - start
+            self.report.total_work += total
+            self.report.tasks.extend(results)
+            self.now = end
         return results
 
     def run_serial_section(self, cost: int, makespan_cost: int | None = None) -> None:

@@ -25,7 +25,7 @@ ALGORITHMS = ("lazymc", "pmc", "domega-ls", "domega-bs", "mcbrb")
 #: Exposing another field to the service means adding its name here.  The
 #: first four may also be set service-wide (``ServiceConfig.defaults``).
 SERVICE_KNOBS = ("max_work", "max_seconds", "engine", "processes",
-                 "threads", "kernel_backend")
+                 "threads")
 DEFAULT_KNOBS = SERVICE_KNOBS[:4]
 
 

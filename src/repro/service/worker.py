@@ -98,9 +98,7 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc",
 
             tracer = TraceRecorder(sample_every=env.trace_sample)
             tracer.set_meta(algo=algo, n=graph.n, m=graph.m,
-                            threads=config.threads,
-                            kernel=config.kernel_backend,
-                            attempt=env.attempt)
+                            threads=config.threads, attempt=env.attempt)
         if env is not None:
             if env.checkpoint_path:
                 resume = load_checkpoint(env.checkpoint_path)

@@ -48,15 +48,14 @@ SCHEMA_VERSION = 1
 #: ``lazy_filter`` (coreness-filtered candidate set too small, filter 1),
 #: ``early_exit_filter`` (boolean early-exit degree round, filter 2),
 #: ``advance_filter`` (exact-size kernel round, filter 3),
-#: ``mc_subsolve`` / ``kvc_subsolve`` / ``bits_subsolve`` (the chosen
-#: sub-solver proved no clique beats the incumbent).
+#: ``mc_subsolve`` / ``kvc_subsolve`` (the chosen sub-solver proved no
+#: clique beats the incumbent).
 TECHNIQUES = (
     "lazy_filter",
     "early_exit_filter",
     "advance_filter",
     "mc_subsolve",
     "kvc_subsolve",
-    "bits_subsolve",
 )
 
 #: Every event kind and the fields it must carry (beyond ``ev``).

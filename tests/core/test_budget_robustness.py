@@ -63,6 +63,34 @@ class TestBudgetOvershoot:
         assert r.timed_out
         assert 0 < r.counters.work - max_work < cost / 2
 
+    def test_tripped_schedule_is_a_prefix_of_the_complete_one(self):
+        """A budget that trips inside a parfor keeps the tasks before it.
+
+        The simulation is deterministic and a budget only stops it, so the
+        tripped run's schedule is the complete run's up to the task that
+        tripped, and the work counted beyond the schedule is the
+        unscheduled work (prepopulate) plus part of that one task.
+        """
+        g = generators.gnp_random(120, 0.7, seed=2036044446)
+        full = lazymc(g)
+        tripped = lazymc(g, LazyMCConfig(max_work=524_439))
+        assert tripped.timed_out
+
+        def rows(schedule):
+            return [(t.task, t.start, t.finish, t.cost, t.worker)
+                    for t in schedule.tasks]
+
+        done, every = rows(tripped.schedule), rows(full.schedule)
+        assert 0 < len(done) < len(every)
+        assert done == every[:len(done)]
+        sections = (g.n + 2 * g.m) + 2 * g.n  # k-core and sort
+        assert tripped.schedule.total_work == \
+            sections + sum(row[3] for row in done)
+        unscheduled = full.counters.work - full.schedule.total_work
+        tripping_cost = every[len(done)][3]
+        assert tripped.counters.work - tripped.schedule.total_work <= \
+            unscheduled + tripping_cost
+
 
 class TestBudgetSweepBaselines:
     @pytest.mark.parametrize("solver", [

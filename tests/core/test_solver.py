@@ -97,8 +97,6 @@ class TestAblationConfigsExact:
         "tiny_hash_threshold": LazyMCConfig(hash_degree_threshold=1),
         "threads_4": LazyMCConfig(threads=4),
         "threads_32": LazyMCConfig(threads=32),
-        # The bit kernel solves every searched neighborhood.
-        "kernel_bits": LazyMCConfig(kernel_backend="bits"),
     }
 
     #: Fields no entry above varies, each covered by its own suite.
@@ -187,6 +185,11 @@ class TestResultMetadata:
         sizes = [s for _, s in r.incumbent_history]
         assert sizes == sorted(sizes)
         assert sizes[-1] == r.omega
+
+    def test_default_path_never_touches_words(self):
+        g = random_graph(50, 0.3, seed=9)
+        r = lazymc(g)
+        assert r.counters.words_scanned == 0
 
 
 class TestBudget:

@@ -168,8 +168,7 @@ class TestSocketRoundTrip:
     def test_config_round_trip(self, server):
         with client_for(server) as client:
             response = client.solve("WormNet", config={
-                "kernel_backend": "bits", "engine": "seq",
-                "max_work": 10**6})
+                "engine": "seq", "max_work": 10**6})
             assert response["ok"] and response["exact"]
             assert response["omega"] == 24
             assert response["engine"]["backend"] == "seq"

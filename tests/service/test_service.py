@@ -25,7 +25,6 @@ KNOB_VALUES = {
     "engine": ("sim", "seq"),
     "processes": (0, 2),
     "threads": (1, 2),
-    "kernel_backend": ("sets", "bits"),
 }
 
 

@@ -19,7 +19,6 @@ from repro.trace import TraceRecorder, summarize_events
 CONFIGS = {
     "default": LazyMCConfig(),
     "no_kvc": LazyMCConfig(use_kvc=False),
-    "bits": LazyMCConfig(kernel_backend="bits"),
     "process": LazyMCConfig(engine="process", processes=2),
     **{f"filter_rounds_{r}": LazyMCConfig(filter_rounds=r) for r in range(4)},
 }
@@ -105,22 +104,21 @@ class TestLedgerInvariants:
 
 
 class TestSubsolveSpans:
-    @pytest.mark.parametrize("backend, expected", [
-        pytest.param("sets", {"mc_subsolve": 6, "kvc_subsolve": 48},
+    @pytest.mark.parametrize("config, expected", [
+        pytest.param(LazyMCConfig(), {"mc_subsolve": 6, "kvc_subsolve": 48},
                      id="sets"),
-        pytest.param("bits", {"bits_subsolve": 54}, id="bits"),
+        pytest.param(LazyMCConfig(use_kvc=False), {"mc_subsolve": 54},
+                     id="no_kvc"),
     ])
-    def test_one_span_per_dispatched_neighborhood(self, backend, expected):
+    def test_one_span_per_dispatched_neighborhood(self, config, expected):
         graph, _ = camouflaged_clique(80, 0.5, 10, seed=1)
         rec = TraceRecorder(sample_every=1)
-        result = lazymc(graph, LazyMCConfig(kernel_backend=backend),
-                        tracer=rec)
+        result = lazymc(graph, config, tracer=rec)
         spans = summarize_events(rec.all_events())["spans"]
         counts = {name: s["count"] for name, s in spans.items()
                   if name.endswith("_subsolve")}
         assert counts == expected
-        mc_arm = "bits_subsolve" if backend == "bits" else "mc_subsolve"
-        assert counts.get(mc_arm, 0) == result.funnel.searched_mc
+        assert counts.get("mc_subsolve", 0) == result.funnel.searched_mc
         assert counts.get("kvc_subsolve", 0) == result.funnel.searched_kvc
 
 

@@ -164,7 +164,6 @@ class TestTracedConfigVariants:
     CONFIGS = {
         "default": LazyMCConfig(),
         "no_kvc": LazyMCConfig(use_kvc=False),
-        "bits": LazyMCConfig(kernel_backend="bits"),
     }
 
     @pytest.mark.parametrize("label", sorted(CONFIGS))
