@@ -142,8 +142,8 @@ def _cmd_solve(args) -> int:
         record = {"ok": False, "error_type": "InjectedFault", "error": str(exc)}
     summary = record.get("trace_summary")
     if summary is not None:
-        print(f"trace: {args.trace} ({summary['events']} events, "
-              f"{summary['dropped']} dropped)", file=sys.stderr)
+        print(f"trace: {args.trace} ({_trace_counts(summary)})",
+              file=sys.stderr)
     code = _print_record(record, args.json)
     if args.verify and record.get("ok"):
         valid = (len(record["clique"]) == record["omega"]
@@ -241,6 +241,12 @@ def _cmd_query(args) -> int:
     return _print_record(response, args.json)
 
 
+def _trace_counts(summary: dict) -> str:
+    """The body-event and dropped counts of a trace summary, as ``solve
+    --trace`` and ``trace validate`` both print them."""
+    return f"{summary['events']} events, {summary['dropped']} dropped"
+
+
 def _cmd_trace(args) -> int:
     """``lazymc trace summarize|export|validate``: offline trace tooling.
 
@@ -250,7 +256,7 @@ def _cmd_trace(args) -> int:
     import json
 
     from .errors import TraceError
-    from .trace import load_trace
+    from .trace import load_trace, summarize_events
 
     try:
         events = load_trace(args.path)
@@ -258,14 +264,11 @@ def _cmd_trace(args) -> int:
         raise SystemExit(f"cannot read trace {args.path}: {exc}") from exc
 
     if args.trace_command == "validate":
-        footer = events[-1]
-        print(f"{args.path}: valid ({len(events)} events, "
-              f"dropped={footer.get('dropped', 0)}, "
-              f"complete={footer.get('complete', False)})")
+        summary = summarize_events(events)
+        print(f"{args.path}: valid ({_trace_counts(summary)}, "
+              f"complete={summary['complete']})")
         return 0
     if args.trace_command == "summarize":
-        from .trace import summarize_events
-
         print(json.dumps(summarize_events(events), indent=2, sort_keys=True))
         return 0
     # export

@@ -119,7 +119,10 @@ def _degree_filters(lazy: LazyGraph, cand_list: list[int], cstar: int,
 
     The boolean kernel runs for rounds 1..r-1, the exact-size kernel
     (which also yields m̂ for free) for the final round — the paper's
-    default r=2 is exactly filter 2 + filter 3.
+    default r=2 is exactly filter 2 + filter 3.  ``cand_list`` holds at
+    least ``cstar`` candidates (filter 1).  A round stops as soon as fewer
+    than ``cstar`` candidates are left, as §IV-B's early exits stop an
+    intersection: it then returns the candidates left at that point.
     """
     rounds = config.filter_rounds
     if rounds >= 1:
@@ -151,21 +154,22 @@ def _degree_filters(lazy: LazyGraph, cand_list: list[int], cstar: int,
                                           counters, config.early_exit)
                 # Both orientations count u itself never (u not in N_G(u));
                 # when scanning N, u is in A but misses B, same answer.
-                if d > cstar - 2:
-                    kept += 1
+                keep = d > cstar - 2
+                if keep:
                     m_hat += d
-                else:
-                    del live[kept]
-                    cand_set.discard(u)
-            elif intersect_size_gt_bool(a_side, b_side, cstar - 2,
-                                        counters, config.early_exit):
-                kept += 1
             else:
-                del live[kept]
-                cand_set.discard(u)
+                keep = intersect_size_gt_bool(a_side, b_side, cstar - 2,
+                                              counters, config.early_exit)
+            if keep:
+                kept += 1
+                continue
+            del live[kept]
+            cand_set.discard(u)
+            if len(live) < cstar:
+                # ``live`` bounds the round's survivors: the round is
+                # doomed, so its remaining probes cannot change the verdict.
+                return live, m_hat, rnd
         cand_list = live
-        if len(live) < cstar:
-            return live, m_hat, rnd
     return cand_list, m_hat, rounds
 
 

@@ -3,9 +3,11 @@
 Phases, in order, each timed for the Fig. 2 breakdown:
 
 1. ``heuristic_degree`` — Alg. 5 on the raw graph.
-2. ``kcore`` — incumbent-bounded coreness (vertices with degree below the
-   incumbent size are excluded outright).
-3. ``sort`` — the (coreness, degree) two-phase counting sort.
+2. ``kcore`` — incumbent-bounded coreness: vertices with degree below the
+   incumbent size (outside S0) are excluded outright, and only S0's rows
+   are read; charged ``n + vol(S0)``.
+3. ``sort`` — the (coreness, degree) two-phase counting sort of S0,
+   charged ``2|S0|``.
 4. ``prepopulate`` — eager construction of the *must* subgraph's
    neighborhood representations, hash or sorted per the §IV-A degree rule
    (policy-dependent, Fig. 4).
@@ -48,6 +50,18 @@ def _phase(timers: PhaseTimers, counters: Counters, tracer: Tracer,
     and its ``phase:<name>`` trace span, opened and closed together."""
     with PhaseTimer(timers, name, counters), tracer.span(f"phase:{name}"):
         yield
+
+
+def _setup_charges(graph: CSRGraph, core) -> tuple[int, int]:
+    """Work of Alg. 1's k-core and sort phases: ``(n + vol(S0), 2|S0|)``.
+
+    S0 are the vertices that passed the degree test (coreness >= 0).  The
+    k-core phase tests every degree and reads each S0 row once; the sort
+    makes two stable counting-sort passes over S0.
+    """
+    survivors = core >= 0
+    return (graph.n + int(graph.degrees[survivors].sum()),
+            2 * int(survivors.sum()))
 
 
 @dataclass
@@ -132,11 +146,12 @@ class LazyMC:
 
             with phase("kcore"):
                 core = coreness_degree_filtered(graph, incumbent.size)
-                # The decomposition examines every vertex and edge once;
-                # charge it honestly (the baselines' peels are charged the
-                # same way).  It is imperfectly parallel (§V-F): model it
-                # as a partially parallelizable section.
-                kcore_cost = graph.n + 2 * graph.m
+                # The degree test reads every vertex; the peel reads each
+                # survivor's row once.  The baselines' whole-graph peels
+                # are charged n + 2m by the same rule.  It is imperfectly
+                # parallel (§V-F): model it as a partially parallelizable
+                # section.
+                kcore_cost, sort_cost = _setup_charges(graph, core)
                 counters.elements_scanned += kcore_cost
                 engine.run_serial_section(
                     kcore_cost, int(kcore_cost / (engine.threads ** 0.5)))
@@ -148,10 +163,9 @@ class LazyMC:
 
             with phase("sort"):
                 order = coreness_degree_order(graph, core)
-                # Two stable counting-sort passes over the vertex array.
-                counters.elements_scanned += 2 * graph.n
+                counters.elements_scanned += sort_cost
                 engine.run_serial_section(
-                    2 * graph.n, int(2 * graph.n / (engine.threads ** 0.5)))
+                    sort_cost, int(sort_cost / (engine.threads ** 0.5)))
 
             lazy = LazyGraph(graph, order, core, cfg, counters)
 

@@ -75,18 +75,21 @@ def _counting_sort_stable(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
 def coreness_degree_order(graph: CSRGraph, core: np.ndarray) -> VertexOrder:
     """Sort by (coreness, degree), both increasing — the paper's order.
 
-    Implemented as two chained stable sorts (degree first, then
-    coreness), which give the permutation of the SAPCo-sort +
-    stable-counting-sort pipeline of §IV-F.  Vertices with negative
-    coreness (filtered out by the degree-filtered k-core computation) sort
-    before everything else; they are never searched, so their position
-    only needs to be consistent.
+    Vertices with negative coreness (dropped by the degree-filtered k-core
+    computation) come first, in id order: they are never searched, so
+    their position only needs to be consistent, and the block keeping its
+    size keeps every other vertex's relabelled id.  The rest, S0, is
+    sorted by two chained stable sorts (degree first, then coreness),
+    which give the permutation of the SAPCo-sort + stable-counting-sort
+    pipeline of §IV-F; the work is ``2|S0|``, not ``2n``.
     """
-    ids = np.arange(graph.n, dtype=np.int64)
-    by_degree = _counting_sort_stable(graph.degrees.astype(np.int64), ids)
-    core_keys = np.asarray(core, dtype=np.int64)[by_degree] + 1  # shift -1 -> 0
-    final = _counting_sort_stable(core_keys, by_degree)
-    return VertexOrder.from_sequence(final)
+    core = np.asarray(core)
+    kept = core >= 0
+    survivors = np.flatnonzero(kept)
+    by_degree = _counting_sort_stable(graph.degrees[survivors], survivors)
+    final = _counting_sort_stable(core[by_degree], by_degree)
+    return VertexOrder.from_sequence(
+        np.concatenate([np.flatnonzero(~kept), final]))
 
 
 def relabel_graph(graph: CSRGraph, order: VertexOrder) -> CSRGraph:

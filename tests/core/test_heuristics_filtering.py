@@ -360,7 +360,18 @@ graph_params = st.tuples(st.integers(4, 36), st.floats(0.1, 0.9),
 
 
 class TestFilterLoopMatchesReference:
-    """Differential check of the filter funnel against the frozen loop."""
+    """Differential check of the filter funnel against the frozen loop.
+
+    The production loop stops a round once it is doomed (fewer than |C*|
+    candidates left); the frozen loop probes the rest of it anyway.  So a
+    round that is not doomed must give the frozen survivors, m̂ and
+    rounds, a doomed one the same refutation, and no counter may exceed
+    the frozen loop's.
+    """
+
+    STAGES = ("considered", "after_coreness", "after_filter1",
+              "after_filter2", "after_filter3", "searched", "searched_mc",
+              "searched_kvc")
 
     @staticmethod
     def _search_all(graph, cfg, cstar, filters):
@@ -394,13 +405,25 @@ class TestFilterLoopMatchesReference:
         cfg = LazyMCConfig(filter_rounds=rounds,
                            hash_degree_threshold=threshold,
                            early_exit=early_exit)
-        production = self._search_all(graph, cfg, cstar,
-                                      filtering._degree_filters)
-        reference = self._search_all(graph, cfg, cstar,
-                                     reference_degree_filters)
-        # Per call: survivors, m̂, rounds passed.  Then the funnel, the
-        # counters and the cliques offered.
-        assert production == reference
+        calls, funnel, counters, found = self._search_all(
+            graph, cfg, cstar, filtering._degree_filters)
+        ref_calls, ref_funnel, ref_counters, ref_found = self._search_all(
+            graph, cfg, cstar, reference_degree_filters)
+        assert len(calls) == len(ref_calls)
+        for (survivors, m_hat, passed), (ref_survivors, ref_m_hat,
+                                         ref_passed) in zip(calls, ref_calls):
+            assert passed == ref_passed
+            if passed == rounds:
+                assert (survivors, m_hat) == (ref_survivors, ref_m_hat)
+            else:
+                # Stopped at the doom: the frozen loop's survivors are
+                # what it went on to keep of the candidates left.
+                assert len(survivors) == cstar - 1
+                assert set(ref_survivors) <= set(survivors)
+        assert [funnel[k] for k in self.STAGES] == \
+            [ref_funnel[k] for k in self.STAGES]
+        assert found == ref_found
+        assert all(counters[k] <= ref_counters[k] for k in ref_counters)
 
     @settings(max_examples=80, deadline=None)
     @given(params=graph_params, data=st.data(),

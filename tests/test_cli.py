@@ -176,6 +176,27 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "valid" in out and "complete=True" in out
 
+    def test_solve_and_validate_print_one_count(self, tmp_path, capsys):
+        """One file, one count: ``solve --trace`` and ``trace validate``
+        both report the body events between header and footer."""
+        import re
+
+        from repro.graph import generators
+        from repro.graph.io import write_edge_list
+        from repro.trace import load_trace
+
+        graph_path = tmp_path / "gnp150.txt"
+        write_edge_list(generators.gnp_random(150, 0.3, seed=1), graph_path)
+        path = tmp_path / "gnp150.trace.jsonl"
+        assert main(["solve", str(graph_path), "--trace", str(path)]) == 0
+        solved = re.search(r"\((\d+) events, (\d+) dropped\)",
+                           capsys.readouterr().err)
+        assert main(["trace", "validate", str(path)]) == 0
+        validated = re.search(r"\((\d+) events, (\d+) dropped,",
+                              capsys.readouterr().out)
+        assert solved.groups() == validated.groups()
+        assert int(solved.group(1)) == len(load_trace(path)) - 2
+
     def test_summarize_is_json(self, trace_file, capsys):
         import json
 

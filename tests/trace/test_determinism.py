@@ -26,9 +26,9 @@ from repro.trace import TraceRecorder, validate_events
 GOLDEN = {
     "dblp": {
         "omega": 9,
-        "work": 9602,
+        "work": 5749,
         "counters": {
-            "elements_scanned": 9405,
+            "elements_scanned": 5552,
             "intersections": 244,
             "early_exit_false": 99,
             "hash_lookups": 1113,
@@ -39,13 +39,13 @@ GOLDEN = {
     },
     "WormNet": {
         "omega": 24,
-        "work": 91298,
+        "work": 90865,
         "counters": {
-            "elements_scanned": 79082,
-            "intersections": 5476,
-            "early_exit_false": 2854,
+            "elements_scanned": 78649,
+            "intersections": 3325,
+            "early_exit_false": 2744,
             "early_exit_true": 173,
-            "hash_lookups": 59661,
+            "hash_lookups": 59479,
             "hash_inserts": 12216,
             "neighborhoods_built_hash": 126,
             "neighbors_filtered_at_build": 209,
@@ -56,13 +56,13 @@ GOLDEN = {
     # heuristics and the lazy graph.
     "mouse": {
         "omega": 30,
-        "work": 1674920,
+        "work": 1674810,
         "counters": {
-            "elements_scanned": 1649633,
-            "intersections": 17107,
-            "early_exit_false": 2237,
+            "elements_scanned": 1649523,
+            "intersections": 16848,
+            "early_exit_false": 2199,
             "early_exit_true": 7159,
-            "hash_lookups": 764922,
+            "hash_lookups": 764862,
             "hash_inserts": 23909,
             "neighborhoods_built_hash": 148,
             "neighbors_filtered_at_build": 46,
@@ -135,18 +135,18 @@ class TestStreamsArePinned:
     one simulated worker and at several."""
 
     DIGESTS = {
-        ("WormNet", 1): "8fb6963f68ed9eba20caf4c23652b9bc"
-                        "10a38f0237521520011febb3397f6b73",
-        ("WormNet", 4): "9ea8c20ab346cf113d2b7dac81bc656e"
-                        "8a322465bf4b146776351adae9b90273",
-        ("HS-CX", 1): "e579154e25f8bd6f66bf3bf822268df9"
-                      "d839977b55a5710f74017fc919f8ba4c",
-        ("HS-CX", 4): "621aee07bf5dde673bfd5196c7dc7a95"
-                      "fc3b3ec09aa062ab8e9765a9a56f9839",
-        ("mouse", 1): "2a8cf4b16c93a13e52ce7933927198d0"
-                      "12e93bb369187e381c4ccf4088d03b83",
-        ("mouse", 4): "28f0d77cc0d7124864d9a292c38c6104"
-                      "3af8b85adb5e4d229c1d1b333709c515",
+        ("WormNet", 1): "67d789bf649ee6807fda893301cc258c"
+                        "255f984d66929f28fab7c2b1cfa5e58b",
+        ("WormNet", 4): "309e6d904c2623fa5346569463c13a69"
+                        "9ef55d303a2aaf688bfc03345dbcc545",
+        ("HS-CX", 1): "4d8b84705185e18f8c9bd330b1748197"
+                      "f11cd95176f61f32d7bdb429bbad630f",
+        ("HS-CX", 4): "89a51c77b50f7ddf03cb30a4ea1f8d29"
+                      "58aa10f60443ae28426d435837ec499b",
+        ("mouse", 1): "9a48cb814226a6adf46911505deaac23"
+                      "ca340dfe8e3de541b720f8ebd8a6df4c",
+        ("mouse", 4): "64b9fdae824cb96ad614ee4f9e422788"
+                      "5997b3aa574a5a08931f188ae83c6993",
     }
 
     @pytest.mark.parametrize("name,threads", sorted(DIGESTS))
